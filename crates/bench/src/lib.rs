@@ -1,7 +1,7 @@
 //! Benchmark harness crate.
 //!
-//! Holds the Criterion benchmarks (`benches/`), the `repro` binary
-//! that regenerates every table and figure of the paper, the
+//! Holds the `repro` binary that regenerates every table and figure of
+//! the paper, the
 //! [`tsdb_ops`] storage-engine workload behind `repro tsdb`, the
 //! [`gemm_ops`] matrix-multiply microbenchmark behind `repro gemm`, and
 //! the [`serve_ops`] inference-server workload behind `repro serve`.

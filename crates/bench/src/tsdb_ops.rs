@@ -28,9 +28,7 @@
 use std::time::Instant;
 
 use env2vec_eval::EvalOptions;
-use env2vec_obs::quantile_from_cumulative;
 use env2vec_par::BatchSample;
-use env2vec_telemetry::tsdb::LATENCY_BUCKETS;
 use env2vec_telemetry::{LabelMatcher, LabelSet, Sample, TimeSeriesDb, TsdbConfig, TsdbStats};
 
 /// Everything the workload measured, for `--bench-json` and the report.
@@ -255,10 +253,6 @@ fn series_match(a: &TimeSeriesDb, b: &TimeSeriesDb, label: &LabelSet) -> bool {
     })
 }
 
-fn p(stats_cumulative: &[u64], q: f64) -> f64 {
-    quantile_from_cumulative(&LATENCY_BUCKETS, stats_cumulative, q)
-}
-
 /// Runs the workload; returns the human-readable table and the summary.
 pub fn run(opts: &EvalOptions) -> Result<String, env2vec_linalg::Error> {
     let (text, _) = run_with_summary(opts)?;
@@ -358,9 +352,9 @@ pub fn run_with_summary(
         ingest_seconds,
         baseline_seconds,
         range_queries: shape.range_queries + shape.range_queries / 4,
-        range_p50_seconds: p(&stats.range_latency.cumulative, 0.50),
-        range_p99_seconds: p(&stats.range_latency.cumulative, 0.99),
-        instant_p99_seconds: p(&stats.instant_latency.cumulative, 0.99),
+        range_p50_seconds: stats.range_latency.quantile(0.50),
+        range_p99_seconds: stats.range_latency.quantile(0.99),
+        instant_p99_seconds: stats.instant_latency.quantile(0.99),
         churn_series: shape.churn_series,
         churn_seconds,
         compression_ratio: stats.compression_ratio(),

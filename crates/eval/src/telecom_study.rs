@@ -24,7 +24,7 @@ use env2vec::model::{Env2VecModel, RfnnModel};
 use env2vec::train::{train_env2vec_observed, train_rfnn_observed};
 use env2vec::vocab::EmVocabulary;
 use env2vec_baselines::ridge::{self, Ridge, ALPHA_GRID};
-use env2vec_datagen::telecom::{Execution, TelecomConfig, TelecomDataset};
+use env2vec_datagen::telecom::{BuildChain, Execution, TelecomConfig, TelecomDataset};
 use env2vec_htm::{HtmAnomalyDetector, HtmConfig};
 use env2vec_introspect::IntrospectObserver;
 use env2vec_linalg::stats::Gaussian;
@@ -257,48 +257,9 @@ impl TelecomStudy {
         };
         let training_seconds = train_start.elapsed().as_secs_f64();
 
-        // Per-chain state: chains are independent, so fan the ridge fits
-        // and model inference out across threads.
         let chains = {
             let _span = env2vec_obs::span!("study/chain_states", chains = dataset.chains.len());
-            let n_threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(dataset.chains.len().max(1));
-            let mut results: Vec<Option<Result<ChainState>>> =
-                (0..dataset.chains.len()).map(|_| None).collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let results_mutex = std::sync::Mutex::new(&mut results);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..n_threads {
-                    scope.spawn(|_| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= dataset.chains.len() {
-                            break;
-                        }
-                        let state = Self::build_chain_state(
-                            &dataset.chains[i],
-                            window,
-                            &vocab,
-                            &env2vec,
-                            &rfnn_all,
-                        );
-                        // envlint: allow(no-panic) — the std mutex poisons only when a
-                        // worker panicked, which already aborts the run.
-                        results_mutex.lock().expect("no poisoned chain-state lock")[i] =
-                            Some(state);
-                    });
-                }
-            })
-            // envlint: allow(no-panic) — scope join fails only if a worker
-            // panicked, and the workers are panic-free by the same lint.
-            .expect("chain-state workers do not panic");
-            results
-                .into_iter()
-                // envlint: allow(no-panic) — the scoped loop above writes every
-                // index exactly once before the scope joins.
-                .map(|slot| slot.expect("every chain visited"))
-                .collect::<Result<Vec<_>>>()?
+            Self::chain_states(&dataset.chains, window, &vocab, &env2vec, &rfnn_all)?
         };
 
         Ok(TelecomStudy {
@@ -315,8 +276,26 @@ impl TelecomStudy {
         })
     }
 
+    /// Per-chain state for every chain, in chain order. Chains are
+    /// independent, so the ridge fits and model inference fan out over
+    /// the `par` pool; `par_map` returns results in input order, so the
+    /// states do not depend on the thread count.
+    fn chain_states(
+        chains: &[BuildChain],
+        window: usize,
+        vocab: &EmVocabulary,
+        env2vec: &Env2VecModel,
+        rfnn_all: &RfnnModel,
+    ) -> Result<Vec<ChainState>> {
+        env2vec_par::par_map(chains.iter().collect(), |_, chain| {
+            Self::build_chain_state(chain, window, vocab, env2vec, rfnn_all)
+        })
+        .into_iter()
+        .collect()
+    }
+
     fn build_chain_state(
-        chain: &env2vec_datagen::telecom::BuildChain,
+        chain: &BuildChain,
         window: usize,
         vocab: &EmVocabulary,
         env2vec: &Env2VecModel,
@@ -549,7 +528,7 @@ fn concat_cf(executions: &[Execution]) -> Result<Matrix> {
 /// Predicts a neural model over a chain's history, returning
 /// `(predicted, observed)` pairs for error-distribution fitting.
 fn predict_chain_history(
-    chain: &env2vec_datagen::telecom::BuildChain,
+    chain: &BuildChain,
     window: usize,
     vocab: &EmVocabulary,
     predict: impl Fn(&Dataframe) -> Result<Vec<f64>>,
@@ -593,6 +572,58 @@ mod tests {
         assert!(s.eval_chain_ids.len() <= NUM_EVAL_EXECUTIONS);
         // Eval chains lead with faulty current builds.
         assert!(s.dataset.chains[s.eval_chain_ids[0]].current().has_faults());
+    }
+
+    #[test]
+    fn chain_states_are_thread_count_invariant() {
+        let s = study();
+        let build = |threads| {
+            env2vec_par::with_thread_limit(threads, || {
+                TelecomStudy::chain_states(
+                    &s.dataset.chains,
+                    s.window,
+                    &s.vocab,
+                    &s.env2vec,
+                    &s.rfnn_all,
+                )
+            })
+            .expect("chain states build")
+        };
+        // Every float a chain state carries or produces, as bits: the
+        // clean-build scores, the error distributions (fitted on the
+        // neural models' history predictions), and both ridge models'
+        // predictions on the current build.
+        let bits = |state: &ChainState| -> Vec<u64> {
+            let current = s.dataset.chains[state.chain_id].current();
+            let (ats_x, _, _) =
+                ridge::append_history(&current.cf, &current.cpu, s.window).expect("history");
+            let ridge = state.ridge.predict(&current.cf).expect("ridge");
+            let ridge_ts = state.ridge_ts.predict(&ats_x).expect("ridge_ts");
+            state
+                .clean_mae
+                .iter()
+                .chain(&state.clean_mse)
+                .chain(state.error_dist.iter().flat_map(|g| [&g.mean, &g.std_dev]))
+                .chain(&ridge)
+                .chain(&ridge_ts)
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let one = build(1);
+        let four = build(4);
+        assert_eq!(one.len(), s.chains.len());
+        assert_eq!(four.len(), s.chains.len());
+        for ((a, b), shared) in one.iter().zip(&four).zip(&s.chains) {
+            assert_eq!(a.chain_id, shared.chain_id);
+            assert_eq!(b.chain_id, shared.chain_id);
+            assert_eq!(bits(a), bits(b), "chain {}: 1 vs 4 threads", a.chain_id);
+            assert_eq!(
+                bits(a),
+                bits(shared),
+                "chain {}: vs the shared study",
+                a.chain_id
+            );
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ mod tests {
             h.observe(0.001);
         }
         let slow = TraceContext::from_seed(99, true);
-        h.observe_traced(0.8, Some(&slow));
+        h.observe_traced(0.8, Some(slow.trace_id));
         let text = render(&reg.snapshot(), &AlarmStore::new(), None);
         assert!(text.contains("p99 exemplars"), "{text}");
         assert!(

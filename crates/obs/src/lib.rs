@@ -5,9 +5,10 @@
 //!
 //! - **Spans** ([`span`] module, [`span!`] macro): hierarchical
 //!   wall-time regions with per-thread nesting, exportable as Chrome
-//!   trace format (open in `chrome://tracing` / Perfetto) or JSONL.
+//!   trace format (open in `chrome://tracing` / Perfetto).
 //! - **Metrics** ([`metrics`]): counters, gauges, and log-bucket
-//!   histograms in a label-aware registry, Prometheus-style. Histograms
+//!   histograms in a label-aware registry, Prometheus-style. The
+//!   histogram type is `env2vec_telemetry`'s, re-exported. Histograms
 //!   optionally carry OpenMetrics **exemplars** — the last sampled trace
 //!   id per bucket — linking a latency bucket to a concrete request.
 //! - **Trace context** ([`trace`]): W3C `traceparent` parse/format and

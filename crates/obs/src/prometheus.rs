@@ -297,7 +297,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("req_seconds");
         let ctx = TraceContext::from_seed(11, true);
-        h.observe_traced(2e-6, Some(&ctx));
+        h.observe_traced(2e-6, Some(ctx.trace_id));
         h.observe(0.5); // untraced: its bucket gets no exemplar
 
         let text = render(&reg);

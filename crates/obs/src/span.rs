@@ -8,7 +8,7 @@
 //! nesting depth so exports can reconstruct the tree.
 //!
 //! Collected spans export as Chrome trace format (load the file in
-//! `chrome://tracing` or Perfetto) or as one-JSON-object-per-line JSONL.
+//! `chrome://tracing` or Perfetto).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -214,38 +214,6 @@ impl SpanCollector {
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
         out
     }
-
-    /// Renders the collected spans as JSONL: one JSON object per line,
-    /// in completion order.
-    pub fn to_jsonl(&self) -> String {
-        let records = self.records.lock();
-        let mut out = String::new();
-        for r in records.iter() {
-            out.push_str(&format!(
-                "{{\"id\":{},\"parent\":{},\"name\":{},\"start_us\":{},\"dur_us\":{},\
-                 \"thread\":{},\"depth\":{}",
-                r.id,
-                r.parent,
-                json_string(&r.name),
-                r.start_us,
-                r.dur_us,
-                r.thread,
-                r.depth
-            ));
-            if !r.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (i, (k, v)) in r.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{}:{}", json_string(k), json_string(v)));
-                }
-                out.push('}');
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
 }
 
 /// RAII guard: records the span into the collector on drop.
@@ -372,15 +340,13 @@ mod tests {
         assert!(trace.contains("\"name\":\"work\""));
         assert!(trace.contains("\\\"1\\\""), "escaped quote in {trace}");
         assert!(trace.contains("\"extra\":\"7\""));
-        let jsonl = c.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 1);
-        assert!(jsonl.contains("\"name\":\"work\""));
     }
 
     #[test]
     fn exporters_json_escape_span_names_and_arg_values() {
         // Regression: a span named `he said "hi"\n` (embedded quotes and
-        // newline) must not corrupt either export format.
+        // newline), or carrying escape-worthy arg keys and values, must
+        // not corrupt the export.
         let hostile_name = "he said \"hi\"\n";
         let c = SpanCollector::new();
         {
@@ -406,19 +372,7 @@ mod tests {
         assert!(!trace.contains("hi\"\n"), "unescaped newline leaked");
         assert!(trace.contains("\\u0001"), "control char escaped");
 
-        let jsonl = c.to_jsonl();
-        assert_eq!(
-            jsonl.lines().count(),
-            1,
-            "one line per span, newline escaped"
-        );
-        let line = jsonl.lines().next().unwrap();
-        let parsed = serde_json::parse_value(line).expect("JSONL line is valid JSON");
-        match parsed.field("name").expect("name") {
-            serde::Value::Str(n) => assert_eq!(n, hostile_name),
-            other => panic!("name not a string: {other:?}"),
-        }
-        match parsed
+        match events[0]
             .field("args")
             .and_then(|a| a.field("path\\key"))
             .expect("arg")

@@ -1,14 +1,15 @@
 //! Re-publishing the TSDB's self-instrumentation as regular metrics.
 //!
-//! The TSDB cannot depend on this crate (obs depends on telemetry), so
-//! it keeps its own internal counters and latency histograms and exports
-//! them as [`env2vec_telemetry::TsdbStats`] snapshots. This module is
-//! the other half of that loop: it turns a snapshot into ordinary
-//! gauges in a [`MetricsRegistry`] — which the self-scraper then writes
-//! *back into the same TSDB* — and into [`MetricSample`] histograms for
-//! Prometheus exposition and the report's quantile tables.
+//! The TSDB sits below this crate (obs depends on telemetry), so it
+//! keeps its counters and latency [`crate::Histogram`]s itself and
+//! exports them as [`env2vec_telemetry::TsdbStats`] snapshots. This
+//! module is the other half of that loop: it turns a snapshot into
+//! ordinary gauges in a [`MetricsRegistry`] — which the self-scraper
+//! then writes *back into the same TSDB* — and into [`MetricSample`]
+//! histograms for Prometheus exposition and the report's quantile tables.
 
-use env2vec_telemetry::tsdb::{LatencySnapshot, TsdbStats, LATENCY_BUCKETS};
+use env2vec_telemetry::histogram::HistogramSnapshot;
+use env2vec_telemetry::tsdb::TsdbStats;
 
 use crate::metrics::{LabelSet, MetricSample, MetricValue, MetricsRegistry};
 
@@ -48,14 +49,14 @@ pub fn publish_stats(registry: &MetricsRegistry, stats: &TsdbStats) {
     }
 }
 
-fn histogram_sample(name: &str, snap: &LatencySnapshot) -> MetricSample {
+fn histogram_sample(name: &str, snap: &HistogramSnapshot) -> MetricSample {
     MetricSample {
         name: name.to_string(),
         labels: LabelSet::new(),
         value: MetricValue::Histogram {
-            bounds: LATENCY_BUCKETS.to_vec(),
+            bounds: snap.bounds.clone(),
             cumulative: snap.cumulative.clone(),
-            sum: snap.sum_seconds,
+            sum: snap.sum,
             count: snap.count,
             exemplars: Vec::new(),
         },
@@ -133,7 +134,7 @@ mod tests {
                 MetricValue::Histogram {
                     bounds, cumulative, ..
                 } => {
-                    assert_eq!(bounds.len(), LATENCY_BUCKETS.len());
+                    assert_eq!(bounds.len(), crate::metrics::DURATION_BUCKETS.len());
                     assert_eq!(cumulative.len(), bounds.len() + 1);
                 }
                 other => panic!("expected histogram, got {other:?}"),

@@ -1,7 +1,6 @@
 //! Minimal multi-producer/multi-consumer job channel.
 //!
-//! `std::sync::mpsc` is single-consumer and the vendored `parking_lot`
-//! offers no condition variable, so the pool's queue is a
+//! `std::sync::mpsc` is single-consumer, so the pool's queue is a
 //! `TrackedMutex<VecDeque>` + `Condvar` pair. Poisoning is recovered
 //! rather than propagated: the queue holds only boxed closures and a
 //! panicking producer/consumer cannot leave it in a torn state, so the

@@ -275,7 +275,7 @@ impl Batcher {
             leader: false,
         };
         // One batch span linking every sampled member request, exported
-        // through the usual Chrome-trace/JSONL path.
+        // through the usual Chrome-trace path.
         let sampled: Vec<String> = batch
             .iter()
             .filter_map(|s| s.ctx.filter(|c| c.sampled).map(|c| c.trace_id_hex()))

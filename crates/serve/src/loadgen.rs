@@ -127,23 +127,29 @@ pub fn traceparent_for(
 ) -> Option<String> {
     let every = opts.trace_every.filter(|&n| n > 0)?;
     let index = connection * opts.requests_per_connection + sequence;
-    index.is_multiple_of(every).then(|| TraceContext::from_seed(index as u64, true).format())
+    index
+        .is_multiple_of(every)
+        .then(|| TraceContext::from_seed(index as u64, true).format())
 }
 
 struct ConnOutcome {
     requests: u64,
     predictions: u64,
     errors: u64,
-    latencies: Histogram,
 }
 
 /// Runs the storm to completion and reports aggregate throughput and
 /// client-observed latency quantiles.
 pub fn run(opts: &LoadgenOptions) -> LoadgenReport {
+    // Connections observe straight into the storm's histogram and the
+    // global one (mirrored for self-scraping into the TSDB).
+    let latencies = Histogram::durations();
+    let global = env2vec_obs::metrics().histogram("loadgen_request_seconds");
+    let sinks = [&latencies, &*global];
     let started = Instant::now();
     let outcomes: Vec<ConnOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.connections)
-            .map(|c| scope.spawn(move || run_connection(opts, c)))
+            .map(|c| scope.spawn(move || run_connection(opts, c, &sinks)))
             .collect();
         handles
             .into_iter()
@@ -152,54 +158,35 @@ pub fn run(opts: &LoadgenOptions) -> LoadgenReport {
                     requests: 0,
                     predictions: 0,
                     errors: 1,
-                    latencies: Histogram::durations(),
                 })
             })
             .collect()
     });
     let elapsed_secs = started.elapsed().as_secs_f64().max(1e-9);
-
-    // Merge per-connection histograms into one (and mirror it into the
-    // global registry for self-scraping into the TSDB).
-    let merged = Histogram::durations();
-    let global = env2vec_obs::metrics().histogram("loadgen_request_seconds");
-    let mut requests = 0;
-    let mut predictions = 0;
-    let mut errors = 0;
-    for outcome in &outcomes {
-        requests += outcome.requests;
-        predictions += outcome.predictions;
-        errors += outcome.errors;
-        let counts = outcome.latencies.bucket_counts();
-        let bounds = outcome.latencies.bounds();
-        for (i, &n) in counts.iter().enumerate() {
-            // Re-observe a representative value per bucket; quantile
-            // resolution is bucket-bounded anyway.
-            let value = if i < bounds.len() { bounds[i] } else { 1e4 };
-            for _ in 0..n {
-                merged.observe(value);
-                global.observe(value);
-            }
-        }
-    }
+    let requests = outcomes.iter().map(|o| o.requests).sum();
+    let predictions = outcomes.iter().map(|o| o.predictions).sum::<u64>();
+    let errors = outcomes.iter().map(|o| o.errors).sum();
     LoadgenReport {
         requests,
         predictions,
         errors,
         elapsed_secs,
         predictions_per_sec: predictions as f64 / elapsed_secs,
-        p50_ms: merged.quantile(0.50) * 1e3,
-        p95_ms: merged.quantile(0.95) * 1e3,
-        p99_ms: merged.quantile(0.99) * 1e3,
+        p50_ms: latencies.quantile(0.50) * 1e3,
+        p95_ms: latencies.quantile(0.95) * 1e3,
+        p99_ms: latencies.quantile(0.99) * 1e3,
     }
 }
 
-fn run_connection(opts: &LoadgenOptions, connection: usize) -> ConnOutcome {
+fn run_connection(
+    opts: &LoadgenOptions,
+    connection: usize,
+    latencies: &[&Histogram],
+) -> ConnOutcome {
     let mut outcome = ConnOutcome {
         requests: 0,
         predictions: 0,
         errors: 0,
-        latencies: Histogram::durations(),
     };
     let stream = match TcpStream::connect(opts.addr) {
         Ok(stream) => stream,
@@ -255,7 +242,10 @@ fn run_connection(opts: &LoadgenOptions, connection: usize) -> ConnOutcome {
                     Some(parsed) => {
                         outcome.requests += 1;
                         outcome.predictions += parsed.predictions.len() as u64;
-                        outcome.latencies.observe(started.elapsed().as_secs_f64());
+                        let seconds = started.elapsed().as_secs_f64();
+                        for h in latencies {
+                            h.observe(seconds);
+                        }
                     }
                     None => outcome.errors += 1,
                 }

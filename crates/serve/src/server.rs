@@ -227,7 +227,7 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
                 let total_seconds = started.elapsed().as_secs_f64();
                 metrics
                     .histogram("serve_request_seconds")
-                    .observe_traced(total_seconds, Some(&ctx));
+                    .observe_traced(total_seconds, ctx.sampled.then_some(ctx.trace_id));
                 metrics.counter("serve_requests_total").inc();
                 let batch = outcome.batch;
                 inner.traces.record(

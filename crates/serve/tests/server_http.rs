@@ -301,6 +301,41 @@ fn loadgen_open_loop_storm_completes() {
     server.shutdown();
 }
 
+#[test]
+fn loadgen_latency_sum_is_observed_not_bucket_upper_bounds() {
+    let (server, _model, _hub) = served("edge");
+    let report = loadgen::run(&LoadgenOptions {
+        addr: server.addr(),
+        env: "edge".to_string(),
+        em: EM.iter().map(|s| s.to_string()).collect(),
+        connections: 2,
+        requests_per_connection: 20,
+        rows_per_request: 4,
+        num_cf: 3,
+        history_window: 2,
+        pacing: Pacing::ClosedLoop,
+        trace_every: None,
+    });
+    assert_eq!(report.errors, 0, "{report:?}");
+    server.shutdown();
+    // Charging every request at its bucket's upper bound is the most the
+    // `_sum` could be; real latencies sit inside their buckets, so the
+    // exported sum must come in clearly below that ceiling.
+    let h = env2vec_obs::metrics().histogram("loadgen_request_seconds");
+    assert!(h.count() >= 40, "storm requests observed: {}", h.count());
+    let ceiling: f64 = h
+        .bucket_counts()
+        .iter()
+        .zip(h.bounds())
+        .map(|(&n, &upper)| n as f64 * upper)
+        .sum();
+    assert!(
+        h.sum() < 0.99 * ceiling,
+        "sum {} is not below the bucket-upper-bound total {ceiling}",
+        h.sum()
+    );
+}
+
 fn post_predict_traced(
     conn: &mut HttpConn<TcpStream>,
     request: &PredictRequest,

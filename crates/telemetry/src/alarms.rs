@@ -8,10 +8,10 @@
 //! (by environment, by time overlap) and is safe for concurrent
 //! detectors.
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::labels::LabelSet;
+use crate::locks::TrackedRwLock;
 
 /// One raised alarm.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,15 +66,23 @@ pub struct NewAlarm {
 }
 
 /// Concurrent alarm database.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AlarmStore {
-    inner: RwLock<Vec<Alarm>>,
+    inner: TrackedRwLock<Vec<Alarm>>,
+}
+
+impl Default for AlarmStore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AlarmStore {
     /// Creates an empty store.
     pub fn new() -> Self {
-        Self::default()
+        AlarmStore {
+            inner: TrackedRwLock::new("telemetry.alarms", Vec::new()),
+        }
     }
 
     /// Inserts an alarm, returning its assigned id.

@@ -14,6 +14,8 @@
 //!   with instant and range queries, safe for concurrent collectors;
 //!   closed chunks are Gorilla-compressed ([`codec`]) behind the
 //!   open-head/sealed-tail layout of [`chunk`].
+//! - [`histogram`]: the workspace's one latency histogram, used by the
+//!   TSDB's self-instrumentation and re-exported by `env2vec-obs`.
 //! - [`discovery`]: scrape-target records carrying the `env` label,
 //!   serialised to exactly the JSON shape shown in §3 step 1.
 //! - [`alarms`]: the alarm store — each alarm pinpoints the testbed and
@@ -27,6 +29,7 @@ pub mod alarms;
 pub mod chunk;
 pub mod codec;
 pub mod discovery;
+pub mod histogram;
 pub mod labels;
 pub mod locks;
 pub mod registry;

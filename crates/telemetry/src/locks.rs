@@ -2,8 +2,9 @@
 //!
 //! [`TrackedMutex`] / [`TrackedRwLock`] are the workspace's standard
 //! locks for concurrent subsystems (`par`'s channel and scope state, the
-//! TSDB shards, the `obs` span and metrics registries). They come in two
-//! builds, switched by the `lock-sanitizer` cargo feature:
+//! TSDB shards, the alarm store, the `obs` span and metrics registries,
+//! histogram exemplar slots). They come in two builds, switched by the
+//! `lock-sanitizer` cargo feature:
 //!
 //! - **off (default)**: `#[inline]` newtypes over `std::sync` that
 //!   recover poison via `PoisonError::into_inner` (the workspace

@@ -26,13 +26,14 @@
 //! - **Self-observation.** Sample/series counts are maintained by
 //!   per-shard atomics on the write path (`stats()` never walks samples),
 //!   out-of-order writes that force a sealed-chunk rewrite are counted,
-//!   and append/instant/range latencies land in internal log-bucket
-//!   histograms exported through [`TsdbStats`].
+//!   and append/instant/range latencies land in the workspace's shared
+//!   [`Histogram`], exported as snapshots through [`TsdbStats`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::chunk::SeriesStore;
+use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::labels::{LabelMatcher, LabelSet};
 use crate::locks::TrackedRwLock;
 
@@ -87,70 +88,10 @@ impl Default for TsdbConfig {
     }
 }
 
-/// Latency histogram boundaries: half-decade log-scale buckets from 1 µs
-/// to 1000 s, in seconds (same shape the obs crate uses for durations).
-pub const LATENCY_BUCKETS: [f64; 19] = [
-    1e-6, 3.162e-6, 1e-5, 3.162e-5, 1e-4, 3.162e-4, 1e-3, 3.162e-3, 1e-2, 3.162e-2, 1e-1, 3.162e-1,
-    1e0, 3.162e0, 1e1, 3.162e1, 1e2, 3.162e2, 1e3,
-];
-
-/// Internal atomic latency histogram over [`LATENCY_BUCKETS`].
-///
-/// The TSDB cannot use `obs::Histogram` (obs depends on this crate), so
-/// it keeps its own counters and exports read-only snapshots that obs
-/// re-publishes as regular metrics.
-#[derive(Debug, Default)]
-struct OpLatency {
-    /// One slot per bound plus the trailing `+Inf` bucket.
-    counts: [AtomicU64; LATENCY_BUCKETS.len() + 1],
-    count: AtomicU64,
-    sum_nanos: AtomicU64,
-}
-
 /// Starts a latency measurement.
 fn start_timer() -> std::time::Instant {
     // envlint: allow(wall-clock) — self-instrumentation only: the reading feeds latency metrics and never influences stored samples or query results.
     std::time::Instant::now()
-}
-
-impl OpLatency {
-    fn observe(&self, started: std::time::Instant) {
-        let secs = started.elapsed().as_secs_f64();
-        let idx = LATENCY_BUCKETS.partition_point(|&b| b < secs);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos
-            .fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> LatencySnapshot {
-        let mut cumulative = Vec::with_capacity(self.counts.len());
-        let mut total = 0;
-        for c in &self.counts {
-            total += c.load(Ordering::Relaxed);
-            cumulative.push(total);
-        }
-        LatencySnapshot {
-            cumulative,
-            count: self.count.load(Ordering::Relaxed),
-            sum_seconds: self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-        }
-    }
-}
-
-/// Point-in-time reading of one operation's latency distribution.
-///
-/// `cumulative` has Prometheus `le` semantics over [`LATENCY_BUCKETS`]:
-/// entry `i` counts observations `<= LATENCY_BUCKETS[i]`, with a final
-/// `+Inf` entry counting everything.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencySnapshot {
-    /// Cumulative bucket counts (`LATENCY_BUCKETS.len() + 1` entries).
-    pub cumulative: Vec<u64>,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observed latencies, in seconds.
-    pub sum_seconds: f64,
 }
 
 /// Occupancy of one shard.
@@ -189,12 +130,13 @@ pub struct TsdbStats {
     pub sealed_uncompressed_bytes: usize,
     /// Per-shard occupancy, indexed by shard id.
     pub shards: Vec<ShardStats>,
-    /// Append-path latency distribution.
-    pub append_latency: LatencySnapshot,
-    /// Instant-query latency distribution.
-    pub instant_latency: LatencySnapshot,
-    /// Range-query latency distribution (range and step queries).
-    pub range_latency: LatencySnapshot,
+    /// Append-path latency distribution, in seconds.
+    pub append_latency: HistogramSnapshot,
+    /// Instant-query latency distribution, in seconds.
+    pub instant_latency: HistogramSnapshot,
+    /// Range-query latency distribution (range and step queries), in
+    /// seconds.
+    pub range_latency: HistogramSnapshot,
 }
 
 impl TsdbStats {
@@ -245,9 +187,9 @@ pub struct TimeSeriesDb {
     inserts: AtomicU64,
     queries: AtomicU64,
     out_of_order: AtomicU64,
-    append_latency: OpLatency,
-    instant_latency: OpLatency,
-    range_latency: OpLatency,
+    append_latency: Histogram,
+    instant_latency: Histogram,
+    range_latency: Histogram,
 }
 
 impl Default for TimeSeriesDb {
@@ -287,9 +229,9 @@ impl TimeSeriesDb {
             inserts: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             out_of_order: AtomicU64::new(0),
-            append_latency: OpLatency::default(),
-            instant_latency: OpLatency::default(),
-            range_latency: OpLatency::default(),
+            append_latency: Histogram::durations(),
+            instant_latency: Histogram::durations(),
+            range_latency: Histogram::durations(),
         }
     }
 
@@ -347,7 +289,7 @@ impl TimeSeriesDb {
         if outcome.rewrote_sealed {
             self.out_of_order.fetch_add(1, Ordering::Relaxed);
         }
-        self.append_latency.observe(timer);
+        self.append_latency.observe(timer.elapsed().as_secs_f64());
     }
 
     /// Like [`TimeSeriesDb::append`], but if the series already holds a
@@ -374,7 +316,7 @@ impl TimeSeriesDb {
         if outcome.rewrote_sealed {
             self.out_of_order.fetch_add(1, Ordering::Relaxed);
         }
-        self.append_latency.observe(timer);
+        self.append_latency.observe(timer.elapsed().as_secs_f64());
     }
 
     /// Appends a whole vector of samples (already time-ordered) at once,
@@ -408,7 +350,7 @@ impl TimeSeriesDb {
         if rewrote > 0 {
             self.out_of_order.fetch_add(rewrote, Ordering::Relaxed);
         }
-        self.append_latency.observe(timer);
+        self.append_latency.observe(timer.elapsed().as_secs_f64());
     }
 
     /// Number of distinct series.
@@ -450,7 +392,7 @@ impl TimeSeriesDb {
         // Shards interleave the keyspace; restore (metric, labels) order
         // so results are independent of shard count.
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.instant_latency.observe(timer);
+        self.instant_latency.observe(timer.elapsed().as_secs_f64());
         out
     }
 
@@ -483,7 +425,7 @@ impl TimeSeriesDb {
             }
         }
         out.sort_by(|a, b| a.labels.cmp(&b.labels));
-        self.range_latency.observe(timer);
+        self.range_latency.observe(timer.elapsed().as_secs_f64());
         out
     }
 
@@ -539,7 +481,7 @@ impl TimeSeriesDb {
             }
         }
         out.sort_by(|a, b| a.labels.cmp(&b.labels));
-        self.range_latency.observe(timer);
+        self.range_latency.observe(timer.elapsed().as_secs_f64());
         out
     }
 

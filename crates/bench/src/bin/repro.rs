@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! repro [--fast|--full] [--seed N] [--runs N] [--threads N] [--verbose]
-//!       [--trace-out FILE] [--bench-json FILE] [--metrics-out FILE]
-//!       [--profile-ops DIR] [--bench-history DIR] [--bench-gate]
+//!       [--trace-out FILE] [--metrics-out FILE] [--profile-ops DIR]
 //!       <experiment>...
 //! repro all              # every experiment in paper order
 //! repro report           # introspection report (quantiles + alarms)
@@ -13,13 +12,16 @@
 //!
 //! Experiments: `fig1`, `table3`, `table4` (alias `kdn`), `fig3`,
 //! `fig4`, `table5`, `table6`, `table7`, `fig6`, `timing`, `ablation`,
-//! `finetune`; plus `tsdb` (the storage-engine workload), `gemm` (the
-//! matrix-multiply microbenchmark) and `serve` (the inference-server
-//! workload) — none part of `all` — and the `report` pseudo-experiment.
+//! `finetune`; plus `tsdb` (the storage-engine workload) and `gemm` (the
+//! matrix-multiply microbenchmark) — neither part of `all` — and the
+//! `report` pseudo-experiment. The performance record of the system is
+//! the separate `perfbench` package; these two print tables only.
 //!
 //! `--fast` shrinks datasets/grids for a smoke run (minutes); the default
 //! preset uses the paper's 125 build chains at reduced execution length;
-//! `--full` additionally averages neural methods over 10 runs.
+//! `--full` additionally averages neural methods over 10 runs. The last
+//! of `--fast`/`--full` picks the preset; `--seed` and `--runs` override
+//! it wherever they appear.
 //!
 //! Parallelism: `--threads N` bounds the worker pool (default:
 //! `ENV2VEC_THREADS` or the machine's available parallelism). Results
@@ -28,11 +30,9 @@
 //!
 //! Observability: `--trace-out FILE` dumps the run's hierarchical spans
 //! as a Chrome trace (open in `chrome://tracing` or Perfetto);
-//! `--bench-json FILE` writes per-experiment wall time plus the study's
-//! accuracy summary as JSON; `--metrics-out FILE` dumps the metrics
-//! registry in Prometheus text exposition format; `--verbose` streams
-//! structured logfmt progress to stderr. Every run ends with a timing
-//! summary table.
+//! `--metrics-out FILE` dumps the metrics registry in Prometheus text
+//! exposition format; `--verbose` streams structured logfmt progress to
+//! stderr. Every run ends with a timing summary table.
 //!
 //! Introspection: the registry is self-scraped into the telemetry TSDB
 //! under the reserved `__introspect` environment after every experiment,
@@ -40,9 +40,7 @@
 //! HTM detector) runs over those series at the end of the run.
 //! `--profile-ops DIR` enables the op-level tape profiler and writes a
 //! ranked hot-op table (`hot_ops.txt`) plus flamegraph-ready collapsed
-//! stacks (`tape.collapsed`). `--bench-history DIR` compares bench
-//! records (`BENCH*.json`) for wall-time and accuracy regressions;
-//! `--bench-gate` turns a flagged regression into a nonzero exit.
+//! stacks (`tape.collapsed`).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -50,7 +48,7 @@ use std::time::Instant;
 use env2vec_eval::experiments::{
     ablation, fig1, fig3, fig4, fig6, finetune, table3, table4, table5, table6, table7, timing,
 };
-use env2vec_eval::telecom_study::{method_index, Method, TelecomStudy};
+use env2vec_eval::telecom_study::TelecomStudy;
 use env2vec_eval::EvalOptions;
 
 /// Experiments in the paper's presentation order.
@@ -65,128 +63,41 @@ const NEEDS_STUDY: [&str; 10] = [
 
 fn usage() -> &'static str {
     "usage: repro [--fast|--full] [--seed N] [--runs N] [--threads N] [--verbose]\n\
-     \x20            [--trace-out FILE] [--bench-json FILE] [--metrics-out FILE]\n\
-     \x20            [--profile-ops DIR] [--bench-history DIR] [--bench-gate] <experiment>...\n\
+     \x20            [--trace-out FILE] [--metrics-out FILE] [--profile-ops DIR] <experiment>...\n\
      experiments: fig1 table3 table4 (alias: kdn) fig3 fig4 table5 table6 table7 fig6 timing\n\
      \x20            ablation finetune | all; plus `tsdb` (storage-engine workload),\n\
-     \x20            `gemm` (matrix-multiply microbenchmark), `serve` (inference-server\n\
-     \x20            workload) and `report` (introspection report)"
+     \x20            `gemm` (matrix-multiply microbenchmark) and `report` (introspection report)"
 }
 
-/// Per-experiment outcome for the timing table and `--bench-json`.
+/// Per-experiment outcome for the timing table.
 struct ExperimentTiming {
     name: String,
     wall_seconds: f64,
 }
 
-/// Mean clean-series MAE per method across the study's chains — the
-/// accuracy headline `--bench-json` records next to the wall times.
-fn accuracy_summary(study: &TelecomStudy) -> Vec<(&'static str, f64)> {
-    Method::ALL
-        .iter()
-        .map(|&m| {
-            let idx = method_index(m);
-            let mean = study.chains.iter().map(|c| c.clean_mae[idx]).sum::<f64>()
-                / study.chains.len().max(1) as f64;
-            (m.name(), mean)
-        })
-        .collect()
-}
-
-fn bench_json(
-    opts: &EvalOptions,
-    setup_seconds: Option<f64>,
-    timings: &[ExperimentTiming],
-    accuracy: &[(&'static str, f64)],
-    tsdb: Option<&env2vec_bench::tsdb_ops::TsdbOpsSummary>,
-    gemm: Option<&env2vec_bench::gemm_ops::GemmOpsSummary>,
-    serve: Option<&env2vec_bench::serve_ops::ServeOpsSummary>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"preset\": \"{}\",\n  \"seed\": {},\n  \"runs\": {},\n",
-        if opts.fast { "fast" } else { "standard" },
-        opts.seed,
-        opts.runs
-    ));
-    out.push_str(&format!(
-        "  \"threads\": {},\n  \"hardware_threads\": {},\n",
-        env2vec_par::max_threads(),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    ));
-    if let Some(s) = setup_seconds {
-        out.push_str(&format!("  \"setup_seconds\": {s:.3},\n"));
-    }
-    out.push_str("  \"experiments\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_seconds\": {:.3}}}{}\n",
-            t.name,
-            t.wall_seconds,
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    if let Some(summary) = tsdb {
-        out.push_str(&format!("  \"tsdb\": {},\n", summary.json_object()));
-    }
-    if let Some(summary) = gemm {
-        out.push_str(&format!("  \"gemm\": {},\n", summary.json_object()));
-    }
-    if let Some(summary) = serve {
-        out.push_str(&format!("  \"serve\": {},\n", summary.json_object()));
-    }
-    out.push_str("  \"clean_mae\": {\n");
-    for (i, (name, mae)) in accuracy.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{name}\": {mae:.6}{}\n",
-            if i + 1 < accuracy.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
 fn main() -> ExitCode {
-    let mut opts = EvalOptions::standard();
+    let mut preset = EvalOptions::standard();
+    let mut seed: Option<u64> = None;
+    let mut runs: Option<usize> = None;
     let mut chosen: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut profile_ops: Option<String> = None;
-    let mut bench_history: Option<String> = None;
-    let mut bench_gate = false;
     let mut want_report = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fast" => {
-                opts = EvalOptions {
-                    fast: true,
-                    runs: 2,
-                    // Fast mode uses the fast preset's re-pinned seed
-                    // unless --seed overrides it later.
-                    seed: EvalOptions::fast().seed,
-                }
-            }
-            "--full" => {
-                opts = EvalOptions {
-                    fast: false,
-                    runs: 10,
-                    ..opts
-                }
-            }
+            "--fast" => preset = EvalOptions::fast(),
+            "--full" => preset = EvalOptions::full(),
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(seed) => opts.seed = seed,
+                Some(n) => seed = Some(n),
                 None => {
                     eprintln!("--seed needs an integer\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
             "--runs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(runs) => opts.runs = runs,
+                Some(n) => runs = Some(n),
                 None => {
                     eprintln!("--runs needs an integer\n{}", usage());
                     return ExitCode::FAILURE;
@@ -207,13 +118,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--bench-json" => match args.next() {
-                Some(path) => bench_out = Some(path),
-                None => {
-                    eprintln!("--bench-json needs a file path\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
             "--metrics-out" => match args.next() {
                 Some(path) => metrics_out = Some(path),
                 None => {
@@ -228,18 +132,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--bench-history" => match args.next() {
-                Some(dir) => bench_history = Some(dir),
-                None => {
-                    eprintln!("--bench-history needs a directory\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bench-gate" => bench_gate = true,
             "kdn" => chosen.push("table4".to_string()),
             "tsdb" => chosen.push("tsdb".to_string()),
             "gemm" => chosen.push("gemm".to_string()),
-            "serve" => chosen.push("serve".to_string()),
             "report" => want_report = true,
             "all" => chosen.extend(ALL.iter().map(|s| s.to_string())),
             "-h" | "--help" => {
@@ -257,6 +152,11 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
+    let opts = EvalOptions {
+        seed: seed.unwrap_or(preset.seed),
+        runs: runs.unwrap_or(preset.runs),
+        ..preset
+    };
     if let Some(dir) = &profile_ops {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("failed to create --profile-ops dir {dir}: {e}");
@@ -332,9 +232,6 @@ fn main() -> ExitCode {
     self_scrape();
 
     let mut timings: Vec<ExperimentTiming> = Vec::new();
-    let mut tsdb_summary: Option<env2vec_bench::tsdb_ops::TsdbOpsSummary> = None;
-    let mut gemm_summary: Option<env2vec_bench::gemm_ops::GemmOpsSummary> = None;
-    let mut serve_summary: Option<env2vec_bench::serve_ops::ServeOpsSummary> = None;
     for name in &chosen {
         let t0 = Instant::now();
         let result = {
@@ -353,24 +250,8 @@ fn main() -> ExitCode {
             match name.as_str() {
                 "table3" => table3::run(&opts),
                 "table4" => table4::run(&opts),
-                "tsdb" => {
-                    env2vec_bench::tsdb_ops::run_with_summary(&opts).map(|(text, summary)| {
-                        tsdb_summary = Some(summary);
-                        text
-                    })
-                }
-                "gemm" => {
-                    env2vec_bench::gemm_ops::run_with_summary(&opts).map(|(text, summary)| {
-                        gemm_summary = Some(summary);
-                        text
-                    })
-                }
-                "serve" => {
-                    env2vec_bench::serve_ops::run_with_summary(&opts).map(|(text, summary)| {
-                        serve_summary = Some(summary);
-                        text
-                    })
-                }
+                "tsdb" => env2vec_bench::tsdb_ops::run(&opts).map(|(text, _)| text),
+                "gemm" => env2vec_bench::gemm_ops::run(&opts).map(|(text, _)| text),
                 "fig1" => need_study().and_then(fig1::run),
                 "fig3" => need_study().and_then(fig3::run),
                 "fig4" => need_study().and_then(fig4::run),
@@ -431,84 +312,6 @@ fn main() -> ExitCode {
         println!("\nself-monitor: no alarms — run health nominal");
     }
 
-    // Bench-history comparison: oldest record in the directory is the
-    // baseline; the comparand is this run when it produced bench numbers
-    // (a study was built), else the newest record on disk.
-    let mut gate_tripped = false;
-    if let Some(dir) = &bench_history {
-        match env2vec_introspect::bench::load_dir(std::path::Path::new(dir)) {
-            Err(e) => {
-                eprintln!("failed to read --bench-history dir {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-            Ok((records, skipped)) => {
-                // Any timed experiment makes this run comparable — the
-                // accuracy map is simply empty when no study was built
-                // (e.g. a tsdb-only run), and compare() skips metrics
-                // absent from either side.
-                let current_run = if timings.is_empty() {
-                    None
-                } else {
-                    Some(env2vec_introspect::bench::BenchRecord {
-                        name: "(this run)".to_string(),
-                        preset: if opts.fast { "fast" } else { "standard" }.to_string(),
-                        seed: opts.seed as i64,
-                        runs: opts.runs as i64,
-                        experiments: timings
-                            .iter()
-                            .map(|t| (t.name.clone(), t.wall_seconds))
-                            .collect(),
-                        clean_mae: study
-                            .as_ref()
-                            .map(|s| {
-                                accuracy_summary(s)
-                                    .iter()
-                                    .map(|&(n, m)| (n.to_string(), m))
-                                    .collect()
-                            })
-                            .unwrap_or_default(),
-                        serve_predictions_per_sec: serve_summary
-                            .as_ref()
-                            .map(|s| s.predictions_per_sec),
-                    })
-                };
-                let comparison = match (records.first(), current_run, records.last()) {
-                    (Some(base), Some(cur), _) => Some((base.clone(), cur)),
-                    (Some(base), None, Some(latest)) if records.len() >= 2 => {
-                        Some((base.clone(), latest.clone()))
-                    }
-                    _ => None,
-                };
-                println!();
-                match comparison {
-                    None => println!(
-                        "bench history: nothing to compare in {dir} ({} record(s), no current run)",
-                        records.len()
-                    ),
-                    Some((baseline, current)) => {
-                        let regressions = env2vec_introspect::bench::compare(
-                            &baseline,
-                            &current,
-                            &env2vec_introspect::bench::CompareConfig::default(),
-                        );
-                        print!(
-                            "{}",
-                            env2vec_introspect::bench::render_comparison(
-                                &baseline,
-                                &current,
-                                &regressions,
-                                &skipped,
-                            )
-                        );
-                        if !regressions.is_empty() && bench_gate {
-                            gate_tripped = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     if want_report {
         let tsdb_stats = env2vec_introspect::global_db().stats();
         println!(
@@ -531,23 +334,6 @@ fn main() -> ExitCode {
             "\nwrote {} spans to {path} (open in chrome://tracing or Perfetto)",
             env2vec_obs::collector().len()
         );
-    }
-    if let Some(path) = bench_out {
-        let accuracy = study.as_ref().map(accuracy_summary).unwrap_or_default();
-        let json = bench_json(
-            &opts,
-            setup_seconds,
-            &timings,
-            &accuracy,
-            tsdb_summary.as_ref(),
-            gemm_summary.as_ref(),
-            serve_summary.as_ref(),
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("failed to write bench json to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote benchmark summary to {path}");
     }
     if let Some(path) = metrics_out {
         let mut text = env2vec_obs::prometheus::render(env2vec_obs::metrics());
@@ -578,10 +364,6 @@ fn main() -> ExitCode {
             "wrote op-level tape profile ({} sites) to {dir}/hot_ops.txt and {dir}/tape.collapsed",
             stats.len()
         );
-    }
-    if gate_tripped {
-        eprintln!("bench gate: regression flagged (--bench-gate)");
-        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

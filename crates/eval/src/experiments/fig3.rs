@@ -127,4 +127,30 @@ mod tests {
         assert!(out.contains("Figure 3a"));
         assert!(out.contains("Env2Vec"));
     }
+
+    #[test]
+    fn fast_preset_clean_mae_matches_the_golden_bits() {
+        // The repo's accuracy contract: the fast-preset study reproduces
+        // these mean clean-series MAEs bit for bit at every thread count
+        // (Ridge 1.885193, Ridge_ts 1.310346, RFNN_all 1.497264,
+        // Env2Vec 1.817579).
+        let golden: [u64; 4] = [
+            0x3ffe_29c0_7aa8_98a4,
+            0x3ff4_f72d_4517_7ae8,
+            0x3ff7_f4cb_298c_439a,
+            0x3ffd_14cd_885e_03a6,
+        ];
+        let r = compute(crate::telecom_study::test_study());
+        for (m, want) in Method::ALL.into_iter().zip(golden) {
+            let got = r.mean_mae[method_index(m)];
+            assert_eq!(
+                got.to_bits(),
+                want,
+                "{} mean clean MAE {got} ({:#018x}) != golden {} ({want:#018x})",
+                m.name(),
+                got.to_bits(),
+                f64::from_bits(want),
+            );
+        }
+    }
 }

@@ -20,12 +20,9 @@
 //!   gradient-norm blow-up, validation-loss spikes) plus HTM-AD over
 //!   long-enough series, writing alarms into an
 //!   [`env2vec_telemetry::AlarmStore`].
-//! - [`bench`]: loads prior `BENCH_*.json` files and flags wall-time
-//!   and accuracy regressions between runs (the `repro --bench-history`
-//!   gate).
 //! - [`report`]: renders the text report (`repro report`) — histogram
-//!   quantiles (p50/p95/p99) of every duration metric plus the bench
-//!   comparison and alarm summary.
+//!   quantiles (p50/p95/p99) of every duration metric plus the alarm
+//!   summary and the storage-engine section.
 //!
 //! Determinism: nothing in this crate reads a wall clock or OS entropy.
 //! Series are indexed by epoch number or by the logical [`next_tick`]
@@ -34,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod observer;
 pub mod report;
 pub mod watch;

@@ -1,7 +1,6 @@
 //! The `repro report` text report: latency quantiles for every
 //! histogram metric, the training-health alarm summary, and (when a
-//! history directory is given) the bench comparison from
-//! [`crate::bench`].
+//! TSDB snapshot is supplied) the storage-engine section.
 
 use env2vec_obs::{quantile_from_cumulative, MetricSample, MetricValue};
 use env2vec_telemetry::{AlarmStore, TsdbStats};
@@ -153,9 +152,7 @@ pub fn tsdb_section(stats: &TsdbStats) -> String {
 }
 
 /// The full introspection report: quantiles + alarms + (when a TSDB
-/// snapshot is supplied) the storage-engine section. The bench history
-/// section is appended by the caller when `--bench-history` was given
-/// (it needs filesystem context this module doesn't take).
+/// snapshot is supplied) the storage-engine section.
 pub fn render(samples: &[MetricSample], alarms: &AlarmStore, tsdb: Option<&TsdbStats>) -> String {
     let mut out = format!(
         "=== introspection report ===\n\nlatency quantiles (seconds):\n{}\ntraining health:\n{}",

@@ -44,17 +44,39 @@ fn usage() -> &'static str {
 
 const BOOLEAN_FLAGS: [&str; 1] = ["self-host"];
 
+/// Every flag that takes a value. A key in neither this list nor
+/// [`BOOLEAN_FLAGS`] is rejected, so a misspelt flag cannot silently
+/// fall back to its default.
+const VALUE_FLAGS: [&str; 13] = [
+    "connections",
+    "requests",
+    "rows",
+    "mode",
+    "rate",
+    "window-us",
+    "max-rows",
+    "trace-every",
+    "addr",
+    "env",
+    "em",
+    "num-cf",
+    "history",
+];
+
 fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
+            .ok_or_else(|| format!("expected --flag, got '{}'\n{}", args[i], usage()))?;
         if BOOLEAN_FLAGS.contains(&key) {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
             continue;
+        }
+        if !VALUE_FLAGS.contains(&key) {
+            return Err(format!("unknown flag --{key}\n{}", usage()));
         }
         let value = args
             .get(i + 1)

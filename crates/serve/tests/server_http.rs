@@ -283,8 +283,8 @@ fn loadgen_closed_loop_storm_returns_bit_identical_rows() {
 
 #[test]
 fn loadgen_open_loop_storm_completes() {
-    let (server, _model, _hub) = served("edge");
-    let report = loadgen::run(&LoadgenOptions {
+    let (server, _model, hub) = served("edge");
+    let opts = LoadgenOptions {
         addr: server.addr(),
         env: "edge".to_string(),
         em: EM.iter().map(|s| s.to_string()).collect(),
@@ -295,9 +295,41 @@ fn loadgen_open_loop_storm_completes() {
         history_window: 2,
         pacing: Pacing::OpenLoop { rate: 2000.0 },
         trace_every: None,
+    };
+    // Publish under fire: v2 is trained up front so that the publish
+    // itself lands a few milliseconds into the ~20 ms paced storm. The
+    // assertions below hold whichever requests see v1 or v2; the sleep
+    // only aims the publish at the middle of the storm.
+    let v2 = trained_model(2);
+    let (report, version) = std::thread::scope(|scope| {
+        let storm = scope.spawn(|| loadgen::run(&opts));
+        let publisher = scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(5));
+            hub.registry("edge")
+                .publish("v2", save_model(&v2).into_bytes())
+        });
+        (
+            storm.join().expect("storm thread"),
+            publisher.join().expect("publisher thread"),
+        )
     });
     assert_eq!(report.errors, 0, "{report:?}");
     assert_eq!(report.requests, 40);
+    assert_eq!(version, 2);
+
+    // The publish is live, and a replayed storm request is answered by
+    // v2 bit for bit.
+    let golden = loadgen::deterministic_request(&opts, 1, 3);
+    let mut conn = connect(&server);
+    let (status, body) = post_predict(&mut conn, &golden);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let parsed: PredictResponse =
+        serde_json::from_str(std::str::from_utf8(&body).expect("utf8")).expect("json");
+    assert_eq!(parsed.model_version, 2, "publish under load must go live");
+    assert_eq!(parsed.predictions.len(), golden.rows.len());
+    for (r, &p) in golden.rows.iter().zip(&parsed.predictions) {
+        assert_eq!(solo_predict(&v2, r).to_bits(), p.to_bits());
+    }
     server.shutdown();
 }
 

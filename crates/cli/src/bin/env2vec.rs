@@ -26,9 +26,23 @@ fn usage() -> &'static str {
 /// Flags that stand alone (no value argument).
 const BOOLEAN_FLAGS: [&str; 1] = ["verbose"];
 
+/// The value flags a subcommand's usage line names. Any other key is
+/// rejected, so a misspelt flag cannot silently fall back to its default.
+fn value_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "generate" => &["preset", "seed", "out"],
+        "train" => &["dataset", "epochs", "seed", "out"],
+        "screen" => &["dataset", "model", "gamma", "out"],
+        "embed" => &["model", "testbed", "sut", "testcase", "build"],
+        "info" => &["model"],
+        "serve" => &["model", "env", "addr"],
+        _ => &[],
+    }
+}
+
 /// Parses `--key value` pairs (plus boolean `--flag`s) after the
-/// subcommand.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// subcommand, accepting only the keys in `allowed`.
+fn parse_flags(args: &[String], allowed: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -39,6 +53,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
             continue;
+        }
+        if !allowed.contains(&key) {
+            return Err(format!("unknown flag --{key}\n{}", usage()));
         }
         let value = args
             .get(i + 1)
@@ -79,7 +96,7 @@ fn run() -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(usage().to_string());
     };
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags(rest, value_flags(cmd))?;
     if flags.contains_key("verbose") {
         env2vec_obs::set_verbose(true);
     }

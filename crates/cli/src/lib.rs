@@ -11,6 +11,7 @@
 use env2vec::anomaly::AnomalyDetector;
 use env2vec::config::Env2VecConfig;
 use env2vec::dataframe::Dataframe;
+use env2vec::pipeline::{history_error_distribution, Resource};
 use env2vec::serialize::{load_model, save_model};
 use env2vec::train::{train_env2vec_observed, ObsTrainObserver};
 use env2vec::vocab::EmVocabulary;
@@ -159,20 +160,7 @@ fn screen_chain(
     detector: &AnomalyDetector,
 ) -> Result<Vec<AlarmRecord>> {
     let window = model.config.history_window;
-    let mut pred_hist = Vec::new();
-    let mut obs_hist = Vec::new();
-    for ex in chain.history() {
-        let df = Dataframe::from_series_frozen(
-            &ex.cf,
-            &ex.cpu,
-            &ex.labels.values(),
-            window,
-            model.vocab(),
-        )?;
-        pred_hist.extend(model.predict(&df)?);
-        obs_hist.extend_from_slice(&df.target);
-    }
-    let dist = AnomalyDetector::fit_error_distribution(&pred_hist, &obs_hist)?;
+    let dist = history_error_distribution(model, chain, Resource::Cpu)?;
     let current = chain.current();
     let df = Dataframe::from_series_frozen(
         &current.cf,

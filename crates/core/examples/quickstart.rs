@@ -13,6 +13,7 @@
 use env2vec::anomaly::AnomalyDetector;
 use env2vec::config::Env2VecConfig;
 use env2vec::dataframe::Dataframe;
+use env2vec::pipeline::{history_error_distribution, Resource};
 use env2vec::train::train_env2vec;
 use env2vec::vocab::EmVocabulary;
 use env2vec_datagen::telecom::{TelecomConfig, TelecomDataset};
@@ -59,20 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4–5. Screen one chain's new build.
     let chain = &dataset.chains[0];
-    let mut hist_pred = Vec::new();
-    let mut hist_obs = Vec::new();
-    for ex in chain.history() {
-        let df = Dataframe::from_series_frozen(
-            &ex.cf,
-            &ex.cpu,
-            &ex.labels.values(),
-            window,
-            model.vocab(),
-        )?;
-        hist_pred.extend(model.predict(&df)?);
-        hist_obs.extend_from_slice(&df.target);
-    }
-    let dist = AnomalyDetector::fit_error_distribution(&hist_pred, &hist_obs)?;
+    let dist = history_error_distribution(&model, chain, Resource::Cpu)?;
     println!(
         "chain {} error distribution: mu {:+.2}, sigma {:.2}",
         chain.id, dist.mean, dist.std_dev

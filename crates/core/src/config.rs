@@ -20,6 +20,10 @@ pub enum Combination {
     Bilinear,
     /// A small MLP over `[v_d, C]`.
     MlpHead,
+    /// No `C` at all: a linear head on `v_d` — the paper's `RFNN`, "a
+    /// variant of Env2Vec ... without using the embeddings of
+    /// environments" (§4.1.3); trained on pooled data it is `RFNN_all`.
+    NoEmbeddings,
 }
 
 /// Hyper-parameters of the Env2Vec model and its training loop.

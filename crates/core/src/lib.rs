@@ -26,9 +26,9 @@
 //! - [`vocab`]: per-EM-feature vocabularies with the `<unk>` row.
 //! - [`dataframe`]: the Table 2 dataframe — CFs ∪ EM ∪ RU-history rows —
 //!   built from raw executions.
-//! - [`model`]: [`model::Env2VecModel`] plus the embedding-free
-//!   [`model::RfnnModel`] used for the paper's `RFNN`/`RFNN_all`
-//!   baselines.
+//! - [`model`]: [`model::Env2VecModel`]; its embedding-free
+//!   [`config::Combination::NoEmbeddings`] mode is the paper's
+//!   `RFNN`/`RFNN_all` baseline.
 //! - [`train`]: mini-batch Adam training with dropout and early stopping.
 //! - [`anomaly`]: the Gaussian-error contextual anomaly detector with the
 //!   γ·σ rule and the 5-percentage-point absolute filter of §4.2.2, plus

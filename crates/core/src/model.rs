@@ -1,4 +1,4 @@
-//! The Env2Vec model and its embedding-free RFNN variant.
+//! The Env2Vec model.
 //!
 //! [`Env2VecModel`] implements the architecture of §3.1–§3.2: an FNN over
 //! the contextual features (`v_fs`), a GRU over the RU history (`v_ts`), a
@@ -6,10 +6,11 @@
 //! tables whose concatenation `C` combines with `v_d` through the paper's
 //! Equation 2, `ŷ = Σ (v_d ⊙ C)`.
 //!
-//! [`RfnnModel`] is "a variant of Env2Vec ... without using the embeddings
-//! of environments" (§4.1.3): the same FNN+GRU front end with a regression
-//! head on the dense layer. Trained per environment it is the paper's
-//! `RFNN`; trained on pooled data it is `RFNN_all`.
+//! With [`Combination::NoEmbeddings`] the same model is "a variant of
+//! Env2Vec ... without using the embeddings of environments" (§4.1.3):
+//! the FNN+GRU front end with a regression head on the dense layer and no
+//! lookup tables. Trained per environment it is the paper's `RFNN`;
+//! trained on pooled data it is `RFNN_all`.
 
 use env2vec_linalg::{Error, Matrix, Result};
 use env2vec_nn::graph::{Graph, NodeId};
@@ -19,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::config::Env2VecConfig;
+use crate::config::{Combination, Env2VecConfig};
 use crate::dataframe::Dataframe;
 use crate::vocab::EmVocabulary;
 
@@ -138,6 +139,8 @@ enum CombinationLayers {
     Bilinear { r: env2vec_nn::ParamId },
     /// Hidden + output layers over `[v_d, C]`.
     MlpHead { hidden: Dense, out: Dense },
+    /// A linear regression head on `v_d` alone (RFNN).
+    NoEmbeddings { head: Dense },
 }
 
 /// The Env2Vec deep-learning model.
@@ -192,6 +195,14 @@ impl Env2VecModel {
             .map_err(|what| Error::InvalidArgument { what })?;
         let k = vocab.num_features();
         let c_dim = k * config.embedding_dim;
+        // RFNN has no lookup tables. Its v_d is a sigmoid layer four
+        // embeddings wide (Env2Vec's C width on the four telecom EM
+        // features) for every vocabulary, so its capacity and published
+        // scores do not move with k.
+        let (num_tables, v_d_dim, v_d_activation) = match config.combination {
+            Combination::NoEmbeddings => (0, 4 * config.embedding_dim, Activation::Sigmoid),
+            _ => (k, c_dim, Activation::Linear),
+        };
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let fnn = Dense::new(
@@ -215,10 +226,10 @@ impl Env2VecModel {
             &mut rng,
             "dense",
             config.gru_hidden + config.fnn_hidden,
-            c_dim,
-            Activation::Linear,
+            v_d_dim,
+            v_d_activation,
         )?;
-        let embeddings = (0..k)
+        let embeddings = (0..num_tables)
             .map(|f| {
                 Embedding::new(
                     &mut params,
@@ -240,11 +251,11 @@ impl Env2VecModel {
             None
         };
         let combination = match config.combination {
-            crate::config::Combination::HadamardSum => CombinationLayers::HadamardSum,
-            crate::config::Combination::Bilinear => CombinationLayers::Bilinear {
+            Combination::HadamardSum => CombinationLayers::HadamardSum,
+            Combination::Bilinear => CombinationLayers::Bilinear {
                 r: params.add("comb.r", model_init_bilinear(&mut rng, c_dim))?,
             },
-            crate::config::Combination::MlpHead => CombinationLayers::MlpHead {
+            Combination::MlpHead => CombinationLayers::MlpHead {
                 hidden: Dense::new(
                     &mut params,
                     &mut rng,
@@ -258,6 +269,16 @@ impl Env2VecModel {
                     &mut rng,
                     "comb.out",
                     c_dim,
+                    1,
+                    Activation::Linear,
+                )?,
+            },
+            Combination::NoEmbeddings => CombinationLayers::NoEmbeddings {
+                head: Dense::new(
+                    &mut params,
+                    &mut rng,
+                    "head",
+                    v_d_dim,
                     1,
                     Activation::Linear,
                 )?,
@@ -289,7 +310,7 @@ impl Env2VecModel {
         self.num_cf
     }
 
-    /// Trainable parameters (for inspection and persistence).
+    /// Learned parameters (for inspection and persistence).
     pub fn params(&self) -> &ParamSet {
         &self.params
     }
@@ -347,45 +368,54 @@ impl Env2VecModel {
         let v_s = graph.concat_cols(&[v_ts, v_fs])?;
         let v_d = self.dense.forward(graph, bound, v_s)?;
 
-        // C = [ec¹, …, ecᵏ]. During training, a small fraction of EM
-        // values is replaced with <unk> so the unknown embedding learns a
-        // usable average-environment fallback (used at inference for EM
-        // values outside the vocabulary).
-        let mut parts: Vec<NodeId> = Vec::with_capacity(self.embeddings.len());
-        for (f, emb) in self.embeddings.iter().enumerate() {
-            let mut idx: Vec<usize> = batch.em.iter().map(|row| row[f]).collect();
-            if let Some(rng) = dropout_rng.as_deref_mut() {
-                if self.config.unk_rate > 0.0 {
-                    use rand::Rng;
-                    for i in &mut idx {
-                        if rng.gen::<f64>() < self.config.unk_rate {
-                            *i = crate::vocab::FeatureVocab::UNK;
+        // C = [ec¹, …, ecᵏ], looked up by the modes that use it. During
+        // training, a small fraction of EM values is replaced with <unk>
+        // so the unknown embedding learns a usable average-environment
+        // fallback (used at inference for EM values outside the
+        // vocabulary).
+        let mut environment = |graph: &mut Graph| -> Result<NodeId> {
+            let mut parts: Vec<NodeId> = Vec::with_capacity(self.embeddings.len());
+            for (f, emb) in self.embeddings.iter().enumerate() {
+                let mut idx: Vec<usize> = batch.em.iter().map(|row| row[f]).collect();
+                if let Some(rng) = dropout_rng.as_deref_mut() {
+                    if self.config.unk_rate > 0.0 {
+                        use rand::Rng;
+                        for i in &mut idx {
+                            if rng.gen::<f64>() < self.config.unk_rate {
+                                *i = crate::vocab::FeatureVocab::UNK;
+                            }
                         }
                     }
                 }
+                parts.push(emb.lookup(graph, bound, &idx)?);
             }
-            parts.push(emb.lookup(graph, bound, &idx)?);
-        }
-        let c = graph.concat_cols(&parts)?;
+            graph.concat_cols(&parts)
+        };
 
         match &self.combination {
             // ŷ = Σ (v_d ⊙ C), Equation 2.
             CombinationLayers::HadamardSum => {
+                let c = environment(graph)?;
                 let prod = graph.mul(v_d, c)?;
                 Ok(graph.row_sums(prod))
             }
             // ŷ = v_d · R · C, batched as Σ ((v_d R) ⊙ C) per row.
             CombinationLayers::Bilinear { r } => {
+                let c = environment(graph)?;
                 let vr = graph.matmul(v_d, bound.node(*r))?;
                 let prod = graph.mul(vr, c)?;
                 Ok(graph.row_sums(prod))
             }
             // An MLP over the concatenated [v_d, C].
             CombinationLayers::MlpHead { hidden, out } => {
+                let c = environment(graph)?;
                 let joined = graph.concat_cols(&[v_d, c])?;
                 let h = hidden.forward(graph, bound, joined)?;
                 out.forward(graph, bound, h)
             }
+            // RFNN: ŷ = head(v_d). No EM lookup, so no <unk> draw moves
+            // the dropout RNG.
+            CombinationLayers::NoEmbeddings { head } => head.forward(graph, bound, v_d),
         }
     }
 
@@ -407,8 +437,9 @@ impl Env2VecModel {
     /// read from the current parameters (used for the Figure 6
     /// visualisation and the unseen-environment analysis).
     ///
-    /// Unknown values contribute the `<unk>` embedding. Returns an error
-    /// when the tuple width is wrong.
+    /// Unknown values contribute the `<unk>` embedding; a
+    /// [`Combination::NoEmbeddings`] model has none, so its `C` is empty.
+    /// Returns an error when the tuple width is wrong.
     pub fn environment_embedding(&self, em_values: &[&str]) -> Result<Vec<f64>> {
         if em_values.len() != self.vocab.num_features() {
             return Err(Error::ShapeMismatch {
@@ -423,151 +454,6 @@ impl Env2VecModel {
             out.extend_from_slice(emb.vector(&self.params, encoded[f])?);
         }
         Ok(out)
-    }
-}
-
-/// RFNN: the Env2Vec front end without environment embeddings.
-#[derive(Debug, Clone)]
-pub struct RfnnModel {
-    /// Hyper-parameters the model was built with.
-    pub config: Env2VecConfig,
-    pub(crate) params: ParamSet,
-    fnn: Dense,
-    gru: GruCell,
-    dense: Dense,
-    head: Dense,
-    pub(crate) cf_scaler: Scaler,
-    pub(crate) y_scaler: TargetScaler,
-    num_cf: usize,
-}
-
-impl RfnnModel {
-    /// Creates an untrained RFNN model; scaler statistics come from
-    /// `train`.
-    ///
-    /// Returns an error for invalid configuration or empty training data.
-    pub fn new(config: Env2VecConfig, train: &Dataframe) -> Result<Self> {
-        config
-            .validate()
-            .map_err(|what| Error::InvalidArgument { what })?;
-        if train.is_empty() {
-            return Err(Error::Empty {
-                routine: "RfnnModel::new",
-            });
-        }
-        let num_cf = train.cf.cols();
-        let mut params = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let fnn = Dense::new(
-            &mut params,
-            &mut rng,
-            "fnn",
-            num_cf,
-            config.fnn_hidden,
-            Activation::Sigmoid,
-        )?;
-        let gru = GruCell::new(
-            &mut params,
-            &mut rng,
-            "gru",
-            1,
-            config.gru_hidden,
-            Activation::Relu,
-        )?;
-        // v_d keeps the same width Env2Vec would use so capacities match.
-        let v_d_dim = 4 * config.embedding_dim;
-        let dense = Dense::new(
-            &mut params,
-            &mut rng,
-            "dense",
-            config.gru_hidden + config.fnn_hidden,
-            v_d_dim,
-            Activation::Sigmoid,
-        )?;
-        let head = Dense::new(
-            &mut params,
-            &mut rng,
-            "head",
-            v_d_dim,
-            1,
-            Activation::Linear,
-        )?;
-        let cf_scaler = Scaler::fit(&train.cf)?;
-        let y_scaler = TargetScaler::fit(&train.target)?;
-        Ok(RfnnModel {
-            config,
-            params,
-            fnn,
-            gru,
-            dense,
-            head,
-            cf_scaler,
-            y_scaler,
-            num_cf,
-        })
-    }
-
-    /// Number of contextual features expected per row.
-    pub fn num_cf(&self) -> usize {
-        self.num_cf
-    }
-
-    /// Trainable parameters.
-    pub fn params(&self) -> &ParamSet {
-        &self.params
-    }
-
-    pub(crate) fn set_params(&mut self, params: ParamSet) {
-        self.params = params;
-    }
-
-    /// Builds the forward graph, returning the scaled prediction node.
-    pub(crate) fn forward(
-        &self,
-        graph: &mut Graph,
-        bound: &Bound,
-        batch: &Dataframe,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Result<NodeId> {
-        let b = batch.len();
-        if b == 0 {
-            return Err(Error::Empty { routine: "forward" });
-        }
-        let cf_scaled = self.cf_scaler.transform(&batch.cf)?;
-        let cf = graph.leaf(cf_scaled);
-        let mut v_fs = self.fnn.forward(graph, bound, cf)?;
-        if let Some(rng) = dropout_rng {
-            if self.config.dropout > 0.0 {
-                let mask = dropout_mask(rng, b, self.config.fnn_hidden, self.config.dropout)?;
-                v_fs = graph.dropout(v_fs, mask)?;
-            }
-        }
-        let steps: Vec<NodeId> = (0..batch.history.cols())
-            .map(|t| {
-                let col: Vec<f64> = (0..b)
-                    .map(|i| self.y_scaler.scale(batch.history.get(i, t)))
-                    .collect();
-                graph.leaf(Matrix::col_vector(&col))
-            })
-            .collect();
-        let v_ts = self.gru.run_sequence(graph, bound, &steps, b)?;
-        let v_s = graph.concat_cols(&[v_ts, v_fs])?;
-        let v_d = self.dense.forward(graph, bound, v_s)?;
-        self.head.forward(graph, bound, v_d)
-    }
-
-    /// Predicts RU values for every row of a dataframe.
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn predict(&self, batch: &Dataframe) -> Result<Vec<f64>> {
-        let mut graph = Graph::new();
-        let bound = self.params.bind(&mut graph);
-        let pred = self.forward(&mut graph, &bound, batch, None)?;
-        Ok(graph
-            .value(pred)
-            .col_iter(0)
-            .map(|v| self.y_scaler.unscale(v))
-            .collect())
     }
 }
 
@@ -633,11 +519,28 @@ mod tests {
     #[test]
     fn rfnn_predicts_and_ignores_environment() {
         let mut vocab = EmVocabulary::telecom();
-        let df = toy_frame(30, &["tb", "s", "tc", "b"], &mut vocab);
-        let model = RfnnModel::new(Env2VecConfig::fast(), &df).unwrap();
-        let pred = model.predict(&df).unwrap();
-        assert_eq!(pred.len(), df.len());
-        assert!(pred.iter().all(|p| p.is_finite()));
+        let a = toy_frame(30, &["tb1", "s", "tc", "b"], &mut vocab);
+        let b = toy_frame(30, &["tb2", "s", "tc", "b"], &mut vocab);
+        let train = Dataframe::concat(&[a.clone(), b.clone()]).unwrap();
+        let cfg = Env2VecConfig {
+            combination: Combination::NoEmbeddings,
+            ..Env2VecConfig::fast()
+        };
+        let model = Env2VecModel::new(cfg, vocab, &train).unwrap();
+        let pa = model.predict(&a).unwrap();
+        assert_eq!(pa.len(), a.len());
+        assert!(pa.iter().all(|p| p.is_finite()));
+        // Identical CFs/history under two EM tuples → the same bits.
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pa), bits(&model.predict(&b).unwrap()));
+        assert!(model
+            .params()
+            .iter()
+            .all(|(_, name, _)| !name.starts_with("em.")));
+        assert!(model
+            .environment_embedding(&["tb1", "s", "tc", "b"])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -650,7 +553,6 @@ mod tests {
             target: vec![],
         };
         assert!(Env2VecModel::new(Env2VecConfig::fast(), vocab, &empty).is_err());
-        assert!(RfnnModel::new(Env2VecConfig::fast(), &empty).is_err());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! 3. **Prediction pipeline** — [`read_dataframe`] pulls the monitoring
 //!    data back out of the TSDB by `env` label and assembles the Table 2
 //!    dataframe.
-//! 4. **Raising alarms** — [`screen_new_build`] fits the chain's error
-//!    distribution on its historical builds, scores the new build, and
-//!    pushes one alarm per anomalous interval into the alarm store, each
-//!    pinpointing the testbed and the time interval.
+//! 4. **Raising alarms** — [`history_error_distribution`] fits the
+//!    chain's error distribution on its historical builds;
+//!    [`screen_new_build`] scores the new build against it and pushes one
+//!    alarm per anomalous interval into the alarm store, each pinpointing
+//!    the testbed and the time interval.
 //! 5. **Updating the model** — [`publish_model`] / [`fetch_latest_model`]
 //!    round-trip the serialised model through the registry.
 //!
@@ -21,6 +22,7 @@
 
 use env2vec_datagen::telecom::workload::CF_NAMES;
 use env2vec_datagen::telecom::{BuildChain, Execution};
+use env2vec_linalg::stats::Gaussian;
 use env2vec_linalg::{Error, Matrix, Result};
 use env2vec_telemetry::alarms::{AlarmStore, NewAlarm};
 use env2vec_telemetry::discovery::{ScrapeTarget, ServiceDiscovery};
@@ -172,6 +174,33 @@ impl Resource {
     }
 }
 
+/// The chain's baseline for step 4: the Gaussian of the model's
+/// prediction errors over every historical build of `chain`, predicted in
+/// build order with the model's own vocabulary and history window.
+///
+/// Returns an error when the chain has no history, a build is not longer
+/// than the window, or prediction fails.
+pub fn history_error_distribution(
+    model: &Env2VecModel,
+    chain: &BuildChain,
+    resource: Resource,
+) -> Result<Gaussian> {
+    let mut predicted = Vec::new();
+    let mut observed = Vec::new();
+    for ex in chain.history() {
+        let df = Dataframe::from_series_frozen(
+            &ex.cf,
+            resource.series(ex),
+            &ex.labels.values(),
+            model.config.history_window,
+            model.vocab(),
+        )?;
+        predicted.extend(model.predict(&df)?);
+        observed.extend_from_slice(&df.target);
+    }
+    AnomalyDetector::fit_error_distribution(&predicted, &observed)
+}
+
 /// Steps 3–4: scores a chain's current build against its history and
 /// pushes one alarm per anomalous interval (CPU, the paper's headline
 /// resource).
@@ -206,23 +235,7 @@ pub fn screen_new_build_resource(
         .counter("pipeline_screens_total")
         .inc();
     let window = model.config.history_window;
-    let vocab = model.vocab();
-
-    // Error distribution over all historical builds of this chain.
-    let mut predicted_hist = Vec::new();
-    let mut observed_hist = Vec::new();
-    for ex in chain.history() {
-        let df = Dataframe::from_series_frozen(
-            &ex.cf,
-            resource.series(ex),
-            &ex.labels.values(),
-            window,
-            vocab,
-        )?;
-        predicted_hist.extend(model.predict(&df)?);
-        observed_hist.extend_from_slice(&df.target);
-    }
-    let dist = AnomalyDetector::fit_error_distribution(&predicted_hist, &observed_hist)?;
+    let dist = history_error_distribution(model, chain, resource)?;
 
     // Score the new build.
     let current = chain.current();
@@ -231,7 +244,7 @@ pub fn screen_new_build_resource(
         resource.series(current),
         &current.labels.values(),
         window,
-        vocab,
+        model.vocab(),
     )?;
     let predicted = model.predict(&df)?;
     let intervals = detector.detect(&dist, &predicted, &df.target)?;

@@ -155,6 +155,7 @@ mod tests {
             Combination::HadamardSum,
             Combination::Bilinear,
             Combination::MlpHead,
+            Combination::NoEmbeddings,
         ] {
             let mut vocab = EmVocabulary::telecom();
             let cf = Matrix::from_fn(30, 3, |i, j| ((i + j) % 5) as f64);

@@ -1,14 +1,13 @@
 //! Training loops.
 //!
 //! Appendix A.1 of the paper: MSE loss, the Adam update rule, dropout on
-//! the hidden layer, and early stopping on a validation set. Both model
-//! families (Env2Vec with embeddings, RFNN without) share one loop via a
-//! small crate-private trait.
+//! the hidden layer, and early stopping on a validation set. One loop
+//! trains every [`Combination`](crate::config::Combination) mode,
+//! including the embedding-free RFNN.
 
 use env2vec_linalg::{Error, Matrix, Result};
-use env2vec_nn::graph::{Graph, NodeId};
+use env2vec_nn::graph::Graph;
 use env2vec_nn::optim::{Adam, Optimizer};
-use env2vec_nn::params::{Bound, ParamSet};
 use env2vec_nn::trainer::{
     grad_norm, param_distance, param_distance_filtered, param_norm, shuffled_batches,
     EarlyStopping, EpochStats, NullObserver, TrainObserver,
@@ -18,7 +17,7 @@ use rand::SeedableRng;
 
 use crate::config::Env2VecConfig;
 use crate::dataframe::Dataframe;
-use crate::model::{Env2VecModel, RfnnModel};
+use crate::model::Env2VecModel;
 use crate::vocab::EmVocabulary;
 
 /// Per-run training telemetry.
@@ -110,69 +109,6 @@ impl TrainObserver for ObsTrainObserver {
     }
 }
 
-/// Crate-private abstraction over the two trainable model families.
-trait Trainable {
-    fn params(&self) -> &ParamSet;
-    fn params_mut(&mut self) -> &mut ParamSet;
-    fn replace_params(&mut self, params: ParamSet);
-    fn scale_target(&self, y: f64) -> f64;
-    fn forward_graph(
-        &self,
-        graph: &mut Graph,
-        bound: &Bound,
-        batch: &Dataframe,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Result<NodeId>;
-}
-
-impl Trainable for Env2VecModel {
-    fn params(&self) -> &ParamSet {
-        Env2VecModel::params(self)
-    }
-    fn params_mut(&mut self) -> &mut ParamSet {
-        &mut self.params
-    }
-    fn replace_params(&mut self, params: ParamSet) {
-        self.set_params(params);
-    }
-    fn scale_target(&self, y: f64) -> f64 {
-        self.y_scaler.scale(y)
-    }
-    fn forward_graph(
-        &self,
-        graph: &mut Graph,
-        bound: &Bound,
-        batch: &Dataframe,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Result<NodeId> {
-        self.forward(graph, bound, batch, dropout_rng)
-    }
-}
-
-impl Trainable for RfnnModel {
-    fn params(&self) -> &ParamSet {
-        RfnnModel::params(self)
-    }
-    fn params_mut(&mut self) -> &mut ParamSet {
-        &mut self.params
-    }
-    fn replace_params(&mut self, params: ParamSet) {
-        self.set_params(params);
-    }
-    fn scale_target(&self, y: f64) -> f64 {
-        self.y_scaler.scale(y)
-    }
-    fn forward_graph(
-        &self,
-        graph: &mut Graph,
-        bound: &Bound,
-        batch: &Dataframe,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Result<NodeId> {
-        self.forward(graph, bound, batch, dropout_rng)
-    }
-}
-
 /// Trains an Env2Vec model on `train`, early-stopping on `val`.
 ///
 /// `vocab` must already contain every EM value present in `train` (build
@@ -198,30 +134,6 @@ pub fn train_env2vec_observed(
     observer: &mut dyn TrainObserver,
 ) -> Result<(Env2VecModel, TrainingReport)> {
     let mut model = Env2VecModel::new(config, vocab, train)?;
-    let report = fit(&mut model, &config, train, val, observer)?;
-    Ok((model, report))
-}
-
-/// Trains an RFNN model (no embeddings) on `train`, early-stopping on
-/// `val`.
-///
-/// Returns the trained model and the per-epoch report.
-pub fn train_rfnn(
-    config: Env2VecConfig,
-    train: &Dataframe,
-    val: &Dataframe,
-) -> Result<(RfnnModel, TrainingReport)> {
-    train_rfnn_observed(config, train, val, &mut NullObserver)
-}
-
-/// [`train_rfnn`] with per-epoch [`TrainObserver`] hooks.
-pub fn train_rfnn_observed(
-    config: Env2VecConfig,
-    train: &Dataframe,
-    val: &Dataframe,
-    observer: &mut dyn TrainObserver,
-) -> Result<(RfnnModel, TrainingReport)> {
-    let mut model = RfnnModel::new(config, train)?;
     let report = fit(&mut model, &config, train, val, observer)?;
     Ok((model, report))
 }
@@ -254,17 +166,17 @@ pub fn fine_tune_env2vec(
 }
 
 /// Validation MSE in scaled-target space (no dropout).
-fn scaled_val_mse<M: Trainable>(model: &M, val: &Dataframe) -> Result<f64> {
+fn scaled_val_mse(model: &Env2VecModel, val: &Dataframe) -> Result<f64> {
     let mut graph = Graph::new();
     let bound = model.params().bind(&mut graph);
-    let pred = model.forward_graph(&mut graph, &bound, val, None)?;
+    let pred = model.forward(&mut graph, &bound, val, None)?;
     let value = graph.value(pred);
     let n = value.rows() as f64;
     Ok(value
         .col_iter(0)
         .zip(&val.target)
         .map(|(p, &y)| {
-            let t = model.scale_target(y);
+            let t = model.y_scaler.scale(y);
             (p - t) * (p - t)
         })
         .sum::<f64>()
@@ -272,8 +184,8 @@ fn scaled_val_mse<M: Trainable>(model: &M, val: &Dataframe) -> Result<f64> {
 }
 
 /// The shared mini-batch Adam + early-stopping loop.
-fn fit<M: Trainable>(
-    model: &mut M,
+fn fit(
+    model: &mut Env2VecModel,
     config: &Env2VecConfig,
     train: &Dataframe,
     val: &Dataframe,
@@ -309,17 +221,17 @@ fn fit<M: Trainable>(
             let scaled_targets: Vec<f64> = batch
                 .target
                 .iter()
-                .map(|&y| model.scale_target(y))
+                .map(|&y| model.y_scaler.scale(y))
                 .collect();
             graph.reset();
             let bound = model.params().bind(&mut graph);
-            let pred = model.forward_graph(&mut graph, &bound, &batch, Some(&mut dropout_rng))?;
+            let pred = model.forward(&mut graph, &bound, &batch, Some(&mut dropout_rng))?;
             let target = graph.leaf(Matrix::col_vector(&scaled_targets));
             let loss = graph.mse(pred, target)?;
             graph.backward(loss)?;
             let grads = model.params().gradients(&graph, &bound)?;
             last_grad_norm = grad_norm(&grads);
-            opt.step(model.params_mut(), &grads)?;
+            opt.step(&mut model.params, &grads)?;
         }
         let loss = scaled_val_mse(model, val)?;
         val_losses.push(loss);
@@ -365,7 +277,7 @@ fn fit<M: Trainable>(
         .map(|(i, _)| i)
         .unwrap_or(0);
     let current = model.params().clone();
-    model.replace_params(stopper.into_best(current));
+    model.set_params(stopper.into_best(current));
     observer.on_complete(best_epoch, stopped_early);
     Ok(TrainingReport {
         val_losses,
@@ -377,6 +289,7 @@ fn fit<M: Trainable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Combination;
     use env2vec_nn::loss::mae;
 
     /// A synthetic two-environment task where the environment shifts the
@@ -429,8 +342,12 @@ mod tests {
         let (all, a, b) = two_env_data(&mut vocab, 20.0, 70.0, 150);
         let (train, val) = all.split_validation(0.15).unwrap();
         let cfg = Env2VecConfig::fast();
-        let (env2vec, _) = train_env2vec(cfg, vocab, &train, &val).unwrap();
-        let (rfnn_all, _) = train_rfnn(cfg, &train, &val).unwrap();
+        let (env2vec, _) = train_env2vec(cfg, vocab.clone(), &train, &val).unwrap();
+        let rfnn_cfg = Env2VecConfig {
+            combination: Combination::NoEmbeddings,
+            ..cfg
+        };
+        let (rfnn_all, _) = train_env2vec(rfnn_cfg, vocab, &train, &val).unwrap();
 
         let score = |pred: &[f64], t: &[f64]| mae(pred, t).unwrap();
         let e_a = score(&env2vec.predict(&a).unwrap(), &a.target);
@@ -464,7 +381,6 @@ mod tests {
     fn all_combination_modes_train_and_fit() {
         // §3.2's claim: the alternatives "yield similar results". Each
         // mode must train to a sane fit on the same data.
-        use crate::config::Combination;
         let mut results = Vec::new();
         for combination in [
             Combination::HadamardSum,
@@ -655,6 +571,6 @@ mod tests {
             em: vec![],
             target: vec![],
         };
-        assert!(train_rfnn(Env2VecConfig::fast(), &all, &empty).is_err());
+        assert!(train_env2vec(Env2VecConfig::fast(), vocab, &all, &empty).is_err());
     }
 }

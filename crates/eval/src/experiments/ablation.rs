@@ -34,7 +34,7 @@ use crate::telecom_study::TelecomStudy;
 pub struct AblationRow {
     /// Configuration label.
     pub label: String,
-    /// Trainable weights in this configuration.
+    /// Learned weights in this configuration.
     pub weights: usize,
     /// Mean characterisation MAE over current builds (clean CPU).
     pub mae: f64,

@@ -10,6 +10,7 @@
 
 use env2vec::anomaly::AnomalyDetector;
 use env2vec::dataframe::Dataframe;
+use env2vec::pipeline::{history_error_distribution, Resource};
 use env2vec::train::fine_tune_env2vec;
 use env2vec_linalg::Result;
 
@@ -105,20 +106,7 @@ pub fn compute(study: &TelecomStudy) -> Result<FinetuneResult> {
     let mut after = [AlarmCounts::default(); 3];
     for &id in &study.eval_chain_ids {
         let chain = &study.dataset.chains[id];
-        let mut pred_hist = Vec::new();
-        let mut obs_hist = Vec::new();
-        for ex in chain.history() {
-            let df = Dataframe::from_series_frozen(
-                &ex.cf,
-                &ex.cpu,
-                &ex.labels.values(),
-                window,
-                &study.blind_vocab,
-            )?;
-            pred_hist.extend(model.predict(&df)?);
-            obs_hist.extend_from_slice(&df.target);
-        }
-        let dist = AnomalyDetector::fit_error_distribution(&pred_hist, &obs_hist)?;
+        let dist = history_error_distribution(&model, chain, Resource::Cpu)?;
         let current = chain.current();
         let df = Dataframe::from_series_frozen(
             &current.cf,

@@ -79,11 +79,48 @@ mod tests {
     /// One expensive end-to-end check of the Table 4 *shape*: Env2Vec must
     /// beat the pooled no-embedding model on every dataset, and the
     /// history-using ridge must beat plain ridge on the autocorrelated
-    /// switch data.
+    /// switch data. The neural rows' mean MAEs are also pinned bit for
+    /// bit, so a change to any neural model's construction, forward pass
+    /// or training loop shows up here at every thread count.
     #[test]
     fn table4_shape_holds_in_fast_mode() {
         let (results, _) = compute(&EvalOptions::fast()).unwrap();
         assert_eq!(results.len(), 3);
+        // Mean-MAE bits of [FNN, RFNN, RFNN_all, Env2Vec] for Snort,
+        // Firewall and Switch, the order `compute` returns.
+        let golden: [[u64; 4]; 3] = [
+            [
+                0x4011b98167eff6a9,
+                0x4015528906a4323f,
+                0x401e8e1abbb9e02e,
+                0x40166777668ea747,
+            ],
+            [
+                0x4022263025510a4e,
+                0x4022c46d9d299d86,
+                0x40345d71f5e85da2,
+                0x4022d729603c8a69,
+            ],
+            [
+                0x403728e8422e2f4b,
+                0x4028ee376876a27c,
+                0x402dc6c902af1950,
+                0x4028c1a0f3e3bf60,
+            ],
+        ];
+        for (vr, bits) in results.iter().zip(golden) {
+            for (method, want) in ["FNN", "RFNN", "RFNN_all", "Env2Vec"].into_iter().zip(bits) {
+                let got = vr.method(method).unwrap().mae.mean;
+                assert_eq!(
+                    got.to_bits(),
+                    want,
+                    "{} {method} mean MAE {got} ({:#018x}) != golden {} ({want:#018x})",
+                    vr.vnf.name(),
+                    got.to_bits(),
+                    f64::from_bits(want),
+                );
+            }
+        }
         for vr in &results {
             let env2vec = vr.method("Env2Vec").unwrap().mae.mean;
             let rfnn_all = vr.method("RFNN_all").unwrap().mae.mean;

@@ -11,10 +11,10 @@
 //! paper's `{32..1024}` grid are thinned to keep wall-clock sane — see
 //! `DESIGN.md`).
 
-use env2vec::config::Env2VecConfig;
+use env2vec::config::{Combination, Env2VecConfig};
 use env2vec::dataframe::Dataframe;
-use env2vec::model::RfnnModel;
-use env2vec::train::{train_env2vec, train_rfnn};
+use env2vec::model::{Scaler, TargetScaler};
+use env2vec::train::train_env2vec;
 use env2vec::vocab::EmVocabulary;
 use env2vec::Env2VecModel;
 use env2vec_baselines::forest;
@@ -23,10 +23,10 @@ use env2vec_baselines::svr::{self, Kernel};
 use env2vec_datagen::kdn::{KdnDataset, Vnf};
 use env2vec_linalg::stats::paired_t_test;
 use env2vec_linalg::{Matrix, Result};
-use env2vec_nn::graph::Graph;
+use env2vec_nn::graph::{Graph, NodeId};
 use env2vec_nn::layers::{dropout_mask, Activation, Dense};
 use env2vec_nn::optim::{Adam, Optimizer};
-use env2vec_nn::params::ParamSet;
+use env2vec_nn::params::{Bound, ParamSet};
 use env2vec_nn::trainer::{shuffled_batches, EarlyStopping};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,11 +102,8 @@ struct FnnBaseline {
     params: ParamSet,
     hidden: Dense,
     head: Dense,
-    cf_means: Vec<f64>,
-    cf_stds: Vec<f64>,
-    y_mean: f64,
-    y_std: f64,
-    _dropout: f64,
+    cf_scaler: Scaler,
+    y_scaler: TargetScaler,
 }
 
 impl FnnBaseline {
@@ -134,31 +131,12 @@ impl FnnBaseline {
             Activation::Sigmoid,
         )?;
         let head = Dense::new(&mut params, &mut rng, "o", width, 1, Activation::Linear)?;
-
-        // Standardisation.
-        let cf_means = x.col_means();
-        let mut cf_stds = vec![0.0; x.cols()];
-        for i in 0..x.rows() {
-            for (s, (&v, &m)) in cf_stds.iter_mut().zip(x.row(i).iter().zip(&cf_means)) {
-                *s += (v - m) * (v - m);
-            }
-        }
-        for s in &mut cf_stds {
-            *s = (*s / x.rows() as f64).sqrt().max(1e-12);
-        }
-        let y_mean = y.iter().sum::<f64>() / y.len() as f64;
-        let y_var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / y.len() as f64;
-        let y_std = y_var.sqrt().max(1e-12);
-
         let mut model = FnnBaseline {
             params,
             hidden,
             head,
-            cf_means,
-            cf_stds,
-            y_mean,
-            y_std,
-            _dropout: dropout,
+            cf_scaler: Scaler::fit(x)?,
+            y_scaler: TargetScaler::fit(y)?,
         };
         let mut opt = Adam::new(5e-3);
         let mut stopper = EarlyStopping::new(6, 1e-6);
@@ -169,16 +147,15 @@ impl FnnBaseline {
         for epoch in 0..max_epochs {
             for batch in shuffled_batches(x.rows(), 64, seed + epoch as u64) {
                 let bx = x.select_rows(&batch)?;
-                let by: Vec<f64> = batch.iter().map(|&i| (y[i] - y_mean) / y_std).collect();
+                let by: Vec<f64> = batch.iter().map(|&i| model.y_scaler.scale(y[i])).collect();
+                let mask = if dropout > 0.0 {
+                    Some(dropout_mask(&mut drop_rng, batch.len(), width, dropout)?)
+                } else {
+                    None
+                };
                 g.reset();
                 let bound = model.params.bind(&mut g);
-                let inp = g.leaf(model.scale(&bx));
-                let mut h = model.hidden.forward(&mut g, &bound, inp)?;
-                if dropout > 0.0 {
-                    let mask = dropout_mask(&mut drop_rng, batch.len(), width, dropout)?;
-                    h = g.dropout(h, mask)?;
-                }
-                let o = model.head.forward(&mut g, &bound, h)?;
+                let o = model.forward(&mut g, &bound, &bx, mask)?;
                 let t = g.leaf(Matrix::col_vector(&by));
                 let loss = g.mse(o, t)?;
                 g.backward(loss)?;
@@ -195,21 +172,30 @@ impl FnnBaseline {
         Ok(model)
     }
 
-    fn scale(&self, x: &Matrix) -> Matrix {
-        Matrix::from_fn(x.rows(), x.cols(), |i, j| {
-            (x.get(i, j) - self.cf_means[j]) / self.cf_stds[j]
-        })
+    /// The network on raw CFs, returning the scaled prediction node;
+    /// `mask` applies inverted dropout to the hidden layer (training).
+    fn forward(
+        &self,
+        g: &mut Graph,
+        bound: &Bound,
+        x: &Matrix,
+        mask: Option<Matrix>,
+    ) -> Result<NodeId> {
+        let inp = g.leaf(self.cf_scaler.transform(x)?);
+        let mut h = self.hidden.forward(g, bound, inp)?;
+        if let Some(mask) = mask {
+            h = g.dropout(h, mask)?;
+        }
+        self.head.forward(g, bound, h)
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
         let mut g = Graph::new();
         let bound = self.params.bind(&mut g);
-        let inp = g.leaf(self.scale(x));
-        let h = self.hidden.forward(&mut g, &bound, inp)?;
-        let o = self.head.forward(&mut g, &bound, h)?;
+        let o = self.forward(&mut g, &bound, x, None)?;
         Ok(g.value(o)
             .col_iter(0)
-            .map(|v| v * self.y_std + self.y_mean)
+            .map(|v| self.y_scaler.unscale(v))
             .collect())
     }
 }
@@ -325,8 +311,15 @@ pub fn evaluate_kdn(opts: &EvalOptions) -> Result<(Vec<VnfResults>, Vec<Signific
                 slot.set(fit_fnn(ds, grids, opts));
             });
             let slot = &rfnn_slots[vi];
+            let vocab = &vocab;
             s.spawn_named(format!("eval/kdn/{vnf}/rfnn"), move || {
-                slot.set(fit_rfnn_per_vnf(frame, opts, grids.nn_epochs, window));
+                slot.set(fit_rfnn_per_vnf(
+                    frame,
+                    vocab,
+                    opts,
+                    grids.nn_epochs,
+                    window,
+                ));
             });
         }
     });
@@ -356,33 +349,20 @@ pub fn evaluate_kdn(opts: &EvalOptions) -> Result<(Vec<VnfResults>, Vec<Signific
 
         // RFNN_all and Env2Vec: the pooled models, scored on this VNF
         // (prediction is cheap; no need to farm it out).
-        {
+        for (name, models, run_maes_all) in [
+            ("RFNN_all", &rfnn_all_models, &mut rfnn_run_maes_all),
+            ("Env2Vec", &env2vec_models, &mut env2vec_run_maes_all),
+        ] {
             let mut maes = Vec::new();
             let mut mses = Vec::new();
-            for m in &rfnn_all_models {
+            for m in models {
                 let pred = m.predict(&frame.test)?;
                 maes.push(mae(&pred, &frame.test.target)?);
                 mses.push(mse(&pred, &frame.test.target)?);
             }
-            rfnn_run_maes_all.extend_from_slice(&maes);
+            run_maes_all.extend_from_slice(&maes);
             methods.push(MethodScores {
-                name: "RFNN_all",
-                mae: RunStats::of(&maes)?,
-                mse: RunStats::of(&mses)?,
-                run_maes: maes,
-            });
-        }
-        {
-            let mut maes = Vec::new();
-            let mut mses = Vec::new();
-            for m in &env2vec_models {
-                let pred = m.predict(&frame.test)?;
-                maes.push(mae(&pred, &frame.test.target)?);
-                mses.push(mse(&pred, &frame.test.target)?);
-            }
-            env2vec_run_maes_all.extend_from_slice(&maes);
-            methods.push(MethodScores {
-                name: "Env2Vec",
+                name,
                 mae: RunStats::of(&maes)?,
                 mse: RunStats::of(&mses)?,
                 run_maes: maes,
@@ -445,10 +425,14 @@ fn train_pooled_run(
     vocab: &EmVocabulary,
     pooled_train: &Dataframe,
     pooled_val: &Dataframe,
-) -> Result<(Env2VecModel, RfnnModel)> {
+) -> Result<(Env2VecModel, Env2VecModel)> {
     let cfg = pooled_cfg(opts, window, nn_epochs, run);
     let (m, _) = train_env2vec(cfg, vocab.clone(), pooled_train, pooled_val)?;
-    let (r, _) = train_rfnn(cfg, pooled_train, pooled_val)?;
+    let rfnn_cfg = Env2VecConfig {
+        combination: Combination::NoEmbeddings,
+        ..cfg
+    };
+    let (r, _) = train_env2vec(rfnn_cfg, vocab.clone(), pooled_train, pooled_val)?;
     Ok((m, r))
 }
 
@@ -573,6 +557,7 @@ fn fit_fnn(ds: &KdnDataset, grids: &Grids, opts: &EvalOptions) -> Result<MethodS
 /// `RFNN` row: per-VNF model with GRU + FNN, no embeddings.
 fn fit_rfnn_per_vnf(
     frame: &KdnFrames,
+    vocab: &EmVocabulary,
     opts: &EvalOptions,
     nn_epochs: usize,
     window: usize,
@@ -589,9 +574,10 @@ fn fit_rfnn_per_vnf(
             patience: 10,
             seed: opts.seed + run as u64 * 101,
             dropout: 0.1,
+            combination: Combination::NoEmbeddings,
             ..Env2VecConfig::default()
         };
-        let (m, _) = train_rfnn(cfg, &frame.train, &frame.val)?;
+        let (m, _) = train_env2vec(cfg, vocab.clone(), &frame.train, &frame.val)?;
         let pred = m.predict(&frame.test)?;
         maes.push(mae(&pred, &frame.test.target)?);
         mses.push(mse(&pred, &frame.test.target)?);

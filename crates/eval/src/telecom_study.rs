@@ -18,10 +18,11 @@
 //!   and applies the γ·σ + 5-point rule.
 
 use env2vec::anomaly::AnomalyDetector;
-use env2vec::config::Env2VecConfig;
+use env2vec::config::{Combination, Env2VecConfig};
 use env2vec::dataframe::Dataframe;
-use env2vec::model::{Env2VecModel, RfnnModel};
-use env2vec::train::{train_env2vec_observed, train_rfnn_observed};
+use env2vec::model::Env2VecModel;
+use env2vec::pipeline::{history_error_distribution, Resource};
+use env2vec::train::train_env2vec_observed;
 use env2vec::vocab::EmVocabulary;
 use env2vec_baselines::ridge::{self, Ridge, ALPHA_GRID};
 use env2vec_datagen::telecom::{BuildChain, Execution, TelecomConfig, TelecomDataset};
@@ -99,10 +100,10 @@ pub struct TelecomStudy {
     /// Pooled Env2Vec model (trained on all chains' histories).
     pub env2vec: Env2VecModel,
     /// Pooled RFNN model without embeddings.
-    pub rfnn_all: RfnnModel,
+    pub rfnn_all: Env2VecModel,
     /// Pooled models trained with the evaluation chains *excluded*
     /// (§4.3's unseen-environment setting): `(env2vec, rfnn_all)`.
-    pub blind: (Env2VecModel, RfnnModel),
+    pub blind: (Env2VecModel, Env2VecModel),
     /// Vocabulary of the blind models.
     pub blind_vocab: EmVocabulary,
     /// Per-chain state, in chain order.
@@ -197,6 +198,10 @@ impl TelecomStudy {
             seed: opts.seed,
             ..Env2VecConfig::default()
         };
+        let rfnn_cfg = Env2VecConfig {
+            combination: Combination::NoEmbeddings,
+            ..nn_cfg
+        };
         let (env2vec, rfnn_all) = {
             let _span = env2vec_obs::span!("study/train_pooled", rows = train.len());
             let (env2vec, _) = train_env2vec_observed(
@@ -206,8 +211,9 @@ impl TelecomStudy {
                 &val,
                 &mut IntrospectObserver::global("env2vec_pooled"),
             )?;
-            let (rfnn_all, _) = train_rfnn_observed(
-                nn_cfg,
+            let (rfnn_all, _) = train_env2vec_observed(
+                rfnn_cfg,
+                vocab.clone(),
                 &train,
                 &val,
                 &mut IntrospectObserver::global("rfnn_all"),
@@ -247,8 +253,9 @@ impl TelecomStudy {
                 &bval,
                 &mut IntrospectObserver::global("env2vec_blind"),
             )?;
-            let (blind_rfnn, _) = train_rfnn_observed(
-                nn_cfg,
+            let (blind_rfnn, _) = train_env2vec_observed(
+                rfnn_cfg,
+                blind_vocab.clone(),
                 &btrain,
                 &bval,
                 &mut IntrospectObserver::global("rfnn_blind"),
@@ -285,7 +292,7 @@ impl TelecomStudy {
         window: usize,
         vocab: &EmVocabulary,
         env2vec: &Env2VecModel,
-        rfnn_all: &RfnnModel,
+        rfnn_all: &Env2VecModel,
     ) -> Result<Vec<ChainState>> {
         env2vec_par::par_map(chains.iter().collect(), |_, chain| {
             Self::build_chain_state(chain, window, vocab, env2vec, rfnn_all)
@@ -299,7 +306,7 @@ impl TelecomStudy {
         window: usize,
         vocab: &EmVocabulary,
         env2vec: &Env2VecModel,
-        rfnn_all: &RfnnModel,
+        rfnn_all: &Env2VecModel,
     ) -> Result<ChainState> {
         // Per-chain ridge models on concatenated history.
         let hist_cf = concat_cf(chain.history())?;
@@ -341,11 +348,8 @@ impl TelecomStudy {
             let pred = ridge_ts_model.predict(&ax)?;
             dists.push(AnomalyDetector::fit_error_distribution(&pred, &ay)?);
         }
-        for (pred, obs) in [
-            predict_chain_history(chain, window, vocab, |df| rfnn_all.predict(df))?,
-            predict_chain_history(chain, window, vocab, |df| env2vec.predict(df))?,
-        ] {
-            dists.push(AnomalyDetector::fit_error_distribution(&pred, &obs)?);
+        for model in [rfnn_all, env2vec] {
+            dists.push(history_error_distribution(model, chain, Resource::Cpu)?);
         }
 
         // Characterisation accuracy on the clean current build.
@@ -523,25 +527,6 @@ fn concat_cf(executions: &[Execution]) -> Result<Matrix> {
         out = out.vstack(&ex.cf)?;
     }
     Ok(out)
-}
-
-/// Predicts a neural model over a chain's history, returning
-/// `(predicted, observed)` pairs for error-distribution fitting.
-fn predict_chain_history(
-    chain: &BuildChain,
-    window: usize,
-    vocab: &EmVocabulary,
-    predict: impl Fn(&Dataframe) -> Result<Vec<f64>>,
-) -> Result<(Vec<f64>, Vec<f64>)> {
-    let mut pred = Vec::new();
-    let mut obs = Vec::new();
-    for ex in chain.history() {
-        let df =
-            Dataframe::from_series_frozen(&ex.cf, &ex.cpu, &ex.labels.values(), window, vocab)?;
-        pred.extend(predict(&df)?);
-        obs.extend_from_slice(&df.target);
-    }
-    Ok((pred, obs))
 }
 
 /// Shared fast-preset study for the crate's tests: building one is the

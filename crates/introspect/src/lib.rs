@@ -41,7 +41,6 @@ pub use watch::{SelfMonitor, WatchConfig};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::OnceLock;
 
-use env2vec_telemetry::discovery::{ScrapeTarget, ServiceDiscovery};
 use env2vec_telemetry::{AlarmStore, LabelSet, TimeSeriesDb};
 
 /// The reserved environment label under which the pipeline files its own
@@ -75,13 +74,6 @@ pub fn global_alarms() -> &'static AlarmStore {
     ALARMS.get_or_init(AlarmStore::new)
 }
 
-/// Registers the introspection pseudo-environment as a scrape target, so
-/// the self-monitoring loop is discoverable exactly like a real testbed
-/// (§3 step 1 of the paper's workflow).
-pub fn register_discovery(sd: &mut ServiceDiscovery) {
-    sd.register(ScrapeTarget::for_env("self://introspect", INTROSPECT_ENV));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,17 +89,5 @@ mod tests {
     fn introspect_env_is_reserved_shaped() {
         assert!(INTROSPECT_ENV.starts_with("__"));
         assert_eq!(introspect_labels().get("env"), Some(INTROSPECT_ENV));
-    }
-
-    #[test]
-    fn discovery_registration_round_trips() {
-        let mut sd = ServiceDiscovery::new();
-        register_discovery(&mut sd);
-        let json = sd.to_json();
-        let back = ServiceDiscovery::from_json(&json).expect("valid discovery json");
-        assert!(back
-            .targets()
-            .iter()
-            .any(|t| t.env() == Some(INTROSPECT_ENV)));
     }
 }

@@ -9,14 +9,13 @@ use env2vec_telemetry::{AlarmStore, TsdbStats};
 /// (labels shown inline), or a placeholder when there are none.
 pub fn quantile_table(samples: &[MetricSample]) -> String {
     let mut rows = Vec::new();
-    let mut exemplar_lines = Vec::new();
     for sample in samples {
         if let MetricValue::Histogram {
             bounds,
             cumulative,
             sum,
             count,
-            exemplars,
+            ..
         } = &sample.value
         {
             if *count == 0 {
@@ -41,16 +40,6 @@ pub fn quantile_table(samples: &[MetricSample]) -> String {
                 quantile_from_cumulative(bounds, cumulative, 0.99),
                 sum,
             ));
-            if let Some((bucket, exemplar)) = p99_exemplar(cumulative, exemplars) {
-                let le = bounds
-                    .get(bucket)
-                    .map(|b| format!("{b}"))
-                    .unwrap_or_else(|| "+Inf".to_string());
-                exemplar_lines.push(format!(
-                    "  {:<44} le={} trace_id={:032x} value={:.6}",
-                    shown, le, exemplar.trace_id, exemplar.value
-                ));
-            }
         }
     }
     if rows.is_empty() {
@@ -64,38 +53,7 @@ pub fn quantile_table(samples: &[MetricSample]) -> String {
         out.push_str(&row);
         out.push('\n');
     }
-    if !exemplar_lines.is_empty() {
-        out.push_str("\n  p99 exemplars (sampled traces in the tail bucket):\n");
-        for line in exemplar_lines {
-            out.push_str(&line);
-            out.push('\n');
-        }
-    }
     out
-}
-
-/// The exemplar naming a concrete trace for the p99 bucket: the first
-/// occupied bucket whose cumulative count reaches rank `0.99 × total`,
-/// or — when that bucket holds no exemplar — the nearest exemplar-bearing
-/// bucket above it (a slower trace is still a truthful "this is what the
-/// tail looks like" witness). Returns `(bucket_index, exemplar)`.
-fn p99_exemplar(
-    cumulative: &[u64],
-    exemplars: &[Option<env2vec_obs::Exemplar>],
-) -> Option<(usize, env2vec_obs::Exemplar)> {
-    if exemplars.is_empty() {
-        return None;
-    }
-    let total = *cumulative.last()? as f64;
-    if total <= 0.0 {
-        return None;
-    }
-    let rank = 0.99 * total;
-    let p99_bucket = cumulative
-        .iter()
-        .position(|&c| c as f64 >= rank && c > 0)
-        .unwrap_or(cumulative.len() - 1);
-    (p99_bucket..exemplars.len()).find_map(|i| exemplars[i].map(|e| (i, e)))
 }
 
 /// Renders the alarm store contents: one line per alarm, or an
@@ -200,31 +158,6 @@ mod tests {
         assert!(text.contains("model=env2vec_pooled"));
         // p50 of a uniform 0.01..=1.00 spread sits inside the data range.
         assert!(text.contains("introspection report"));
-    }
-
-    #[test]
-    fn p99_bucket_exemplar_names_a_concrete_trace() {
-        use env2vec_obs::TraceContext;
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("serve_request_seconds");
-        // Bulk of the mass is fast; one slow sampled outlier owns the
-        // tail bucket.
-        for _ in 0..100 {
-            h.observe(0.001);
-        }
-        let slow = TraceContext::from_seed(99, true);
-        h.observe_traced(0.8, Some(slow.trace_id));
-        let text = render(&reg.snapshot(), &AlarmStore::new(), None);
-        assert!(text.contains("p99 exemplars"), "{text}");
-        assert!(
-            text.contains(&format!("trace_id={:032x}", slow.trace_id)),
-            "p99 exemplar should name the slow trace:\n{text}"
-        );
-        // A histogram with no traced observations stays silent.
-        let reg2 = MetricsRegistry::new();
-        reg2.histogram("quiet_seconds").observe(0.5);
-        let text2 = render(&reg2.snapshot(), &AlarmStore::new(), None);
-        assert!(!text2.contains("p99 exemplars"));
     }
 
     #[test]

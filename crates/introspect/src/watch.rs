@@ -13,8 +13,8 @@
 
 use env2vec_htm::{HtmAnomalyDetector, HtmConfig};
 use env2vec_telemetry::alarms::NewAlarm;
-use env2vec_telemetry::tsdb::{Sample, Series};
-use env2vec_telemetry::{AlarmStore, LabelMatcher, LabelSet, TimeSeriesDb};
+use env2vec_telemetry::tsdb::Series;
+use env2vec_telemetry::{AlarmStore, LabelMatcher, TimeSeriesDb};
 
 use crate::INTROSPECT_ENV;
 
@@ -40,29 +40,6 @@ pub struct WatchConfig {
     /// signal, so isolated flags are noise and only a sustained run of
     /// them is a rhythm break.
     pub htm_persistence: usize,
-    /// Histogram metric the latency SLO is computed over (the serve
-    /// path's request histogram, self-scraped into the TSDB as
-    /// `<metric>_bucket` / `<metric>_count` series).
-    pub slo_metric: &'static str,
-    /// The `le` bucket label that defines "fast enough" — the SLI is
-    /// `bucket{le=thr} / count` over a window (fraction of requests at
-    /// or under the threshold).
-    pub slo_latency_le: &'static str,
-    /// SLO target: the fraction of requests that must be fast (0.99 =
-    /// 1% error budget).
-    pub slo_target: f64,
-    /// Long burn-rate window in scrape ticks (the "1 h" analogue — the
-    /// TSDB is indexed by logical ticks, not wall time).
-    pub slo_long_window: i64,
-    /// Short burn-rate window in scrape ticks (the "5 m" analogue),
-    /// gating the long window so an alarm clears soon after the burn
-    /// stops.
-    pub slo_short_window: i64,
-    /// Burn-rate factor: alarm when the error budget burns faster than
-    /// this multiple of the sustainable rate in BOTH windows (Google
-    /// SRE's multi-window multi-burn-rate rule; 14.4 is the classic
-    /// page-level factor).
-    pub slo_burn_rate: f64,
 }
 
 impl Default for WatchConfig {
@@ -74,12 +51,6 @@ impl Default for WatchConfig {
             htm_min_points: 48,
             htm_warmup: 24,
             htm_persistence: 3,
-            slo_metric: "serve_request_seconds",
-            slo_latency_le: "0.1",
-            slo_target: 0.99,
-            slo_long_window: 12,
-            slo_short_window: 2,
-            slo_burn_rate: 14.4,
         }
     }
 }
@@ -151,92 +122,6 @@ impl<'a> SelfMonitor<'a> {
                     });
                     raised += 1;
                 }
-            }
-        }
-        raised += self.slo_burn(alarms);
-        raised
-    }
-
-    /// Multi-window burn-rate SLO pass: over each `(bucket, count)`
-    /// series pair of the configured latency histogram, compute the
-    /// windowed error rate `1 - bucket_delta/count_delta` (the fraction
-    /// of requests slower than the threshold), normalise it by the error
-    /// budget into a burn rate, and alarm only when the burn exceeds the
-    /// factor in BOTH the long and the short window — the long window
-    /// keeps the alarm significant, the short one keeps it current.
-    fn slo_burn(&self, alarms: &AlarmStore) -> usize {
-        let cfg = &self.config;
-        let budget = 1.0 - cfg.slo_target;
-        if budget <= 0.0 {
-            return 0;
-        }
-        let bucket_metric = format!("{}_bucket", cfg.slo_metric);
-        let count_metric = format!("{}_count", cfg.slo_metric);
-        let bucket_matchers = [
-            LabelMatcher::eq("env", INTROSPECT_ENV),
-            LabelMatcher::eq("le", cfg.slo_latency_le),
-        ];
-        let count_matchers = [LabelMatcher::eq("env", INTROSPECT_ENV)];
-        let counts = self
-            .db
-            .query_range(&count_metric, &count_matchers, i64::MIN, i64::MAX);
-        let mut raised = 0;
-        for bucket in self
-            .db
-            .query_range(&bucket_metric, &bucket_matchers, i64::MIN, i64::MAX)
-        {
-            // Pair the bucket series with its _count sibling: identical
-            // labels apart from `le`.
-            let mut key = LabelSet::new();
-            for (k, v) in bucket.labels.iter() {
-                if k != "le" {
-                    key.set(k, v);
-                }
-            }
-            let Some(count) = counts.iter().find(|s| s.labels == key) else {
-                continue;
-            };
-            let Some(now) = count.samples.last().map(|s| s.timestamp) else {
-                continue;
-            };
-            let burn_over = |window: i64| -> Option<f64> {
-                let from = now - window;
-                let good = delta(&bucket.samples, from, now)?;
-                let total = delta(&count.samples, from, now)?;
-                if total <= 0.0 {
-                    return None;
-                }
-                let error_rate = (1.0 - good / total).max(0.0);
-                Some(error_rate / budget)
-            };
-            let (Some(long), Some(short)) = (
-                burn_over(cfg.slo_long_window),
-                burn_over(cfg.slo_short_window),
-            ) else {
-                continue;
-            };
-            if long > cfg.slo_burn_rate && short > cfg.slo_burn_rate {
-                alarms.push(NewAlarm {
-                    env: key,
-                    metric: cfg.slo_metric.to_string(),
-                    start: now - cfg.slo_short_window,
-                    end: now,
-                    gamma: cfg.slo_burn_rate,
-                    predicted: cfg.slo_burn_rate,
-                    observed: short,
-                    message: format!(
-                        "self-monitor[slo-burn]: {} burning latency error budget at {:.1}x \
-                         (short) / {:.1}x (long) vs allowed {:.1}x (SLI: fraction of requests \
-                         over {}s against a {:.2}% budget)",
-                        cfg.slo_metric,
-                        short,
-                        long,
-                        cfg.slo_burn_rate,
-                        cfg.slo_latency_le,
-                        budget * 100.0,
-                    ),
-                });
-                raised += 1;
             }
         }
         raised
@@ -396,25 +281,11 @@ impl<'a> SelfMonitor<'a> {
     }
 }
 
-/// Windowed delta of a cumulative counter series: the value at the
-/// latest sample at-or-before `to` minus the value at-or-before `from`
-/// (zero baseline when the series starts inside the window — a counter
-/// is born at zero). `None` when no sample falls at-or-before `to`.
-fn delta(samples: &[Sample], from: i64, to: i64) -> Option<f64> {
-    let at = |t: i64| -> Option<f64> {
-        samples
-            .iter()
-            .rev()
-            .find(|s| s.timestamp <= t)
-            .map(|s| s.value)
-    };
-    let end = at(to)?;
-    Some(end - at(from).unwrap_or(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use env2vec_telemetry::tsdb::Sample;
+    use env2vec_telemetry::LabelSet;
 
     fn seed_series(db: &TimeSeriesDb, model: &str, metric: &str, values: &[f64]) {
         let labels = crate::introspect_labels().with("model", model);
@@ -532,81 +403,6 @@ mod tests {
         seed_series(&db2, "rhythm_clean", "scrape_gauge", &clean);
         let quiet = AlarmStore::new();
         assert_eq!(SelfMonitor::with_config(&db2, config).run(&quiet), 0);
-    }
-
-    /// Seeds the SLO histogram pair: cumulative fast-bucket and total
-    /// counts, one scrape per tick.
-    fn seed_slo(db: &TimeSeriesDb, fast_per_tick: &[f64], total_per_tick: &[f64]) {
-        let base = crate::introspect_labels();
-        let bucket_labels = base.clone().with("le", "0.1");
-        let mut fast_cum = 0.0;
-        let mut total_cum = 0.0;
-        for (i, (&f, &t)) in fast_per_tick.iter().zip(total_per_tick).enumerate() {
-            fast_cum += f;
-            total_cum += t;
-            db.upsert(
-                "serve_request_seconds_bucket",
-                &bucket_labels,
-                Sample {
-                    timestamp: i as i64,
-                    value: fast_cum,
-                },
-            );
-            db.upsert(
-                "serve_request_seconds_count",
-                &base,
-                Sample {
-                    timestamp: i as i64,
-                    value: total_cum,
-                },
-            );
-        }
-    }
-
-    #[test]
-    fn sustained_slow_traffic_raises_a_burn_rate_alarm() {
-        let db = TimeSeriesDb::new();
-        // 20 ticks × 10 requests with half of them slow: a 50% error
-        // rate against a 1% budget is a 50x burn in every window.
-        seed_slo(&db, &[5.0; 20], &[10.0; 20]);
-        let alarms = AlarmStore::new();
-        assert_eq!(SelfMonitor::new(&db).run(&alarms), 1);
-        let raised = alarms.all();
-        assert_eq!(raised[0].metric, "serve_request_seconds");
-        assert!(
-            raised[0].message.contains("slo-burn"),
-            "{}",
-            raised[0].message
-        );
-        assert!(raised[0].observed > 14.4, "short-window burn is recorded");
-        assert_eq!(raised[0].gamma, 14.4);
-    }
-
-    #[test]
-    fn healthy_latency_raises_no_burn_alarm() {
-        let db = TimeSeriesDb::new();
-        seed_slo(&db, &[10.0; 20], &[10.0; 20]);
-        let alarms = AlarmStore::new();
-        assert_eq!(SelfMonitor::new(&db).run(&alarms), 0);
-    }
-
-    #[test]
-    fn short_window_spike_alone_does_not_page() {
-        let db = TimeSeriesDb::new();
-        // 16 healthy high-volume ticks, then 2 fully-slow low-volume
-        // ticks: the short window burns hard but the long window has
-        // absorbed the spike, so the multi-window rule stays quiet.
-        let mut fast = vec![100.0; 16];
-        fast.extend([0.0, 0.0]);
-        let mut total = vec![100.0; 16];
-        total.extend([10.0, 10.0]);
-        seed_slo(&db, &fast, &total);
-        let alarms = AlarmStore::new();
-        assert_eq!(
-            SelfMonitor::new(&db).run(&alarms),
-            0,
-            "long window is healthy — no page"
-        );
     }
 
     #[test]

@@ -1154,6 +1154,7 @@ mod tests {
         // The profiler table is process-global and other tests may run
         // concurrently, so assert only on presence and lower bounds of
         // the cells this graph creates — never on absence or totals.
+        let _profiler = profile::test_lock();
         profile::enable();
         let mut g = Graph::new();
         let x = g.leaf(leaf_2x3());
@@ -1205,6 +1206,7 @@ mod tests {
             let loss = g.mean_all(sq).unwrap();
             (x, loss)
         };
+        let _profiler = profile::test_lock();
         profile::disable();
         let mut g_off = Graph::new();
         let (x_off, loss_off) = build(&mut g_off);

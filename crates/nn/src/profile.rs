@@ -108,6 +108,16 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
+/// Serialises the tests that flip the process-global switch, so one
+/// test's [`disable`] cannot land in the middle of another's graph.
+#[cfg(test)]
+pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failing test poisons the lock; the `()` it guards cannot be left
+    // inconsistent, so later tests carry on.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Whether ops are currently being attributed.
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -371,6 +381,7 @@ mod tests {
 
     #[test]
     fn disabled_timer_is_inert() {
+        let _profiler = test_lock();
         disable();
         let t = OpTimer::start();
         assert!(!t.armed());

@@ -633,8 +633,24 @@ mod tests {
         cond()
     }
 
+    /// Serialises the tests that spawn detached jobs or read
+    /// [`detached_jobs`]: each compares the process-wide live count with
+    /// a baseline that another test's jobs would move. A detached job's
+    /// accounting settles after its test returns, so taking the lock also
+    /// waits (bounded) for the previous holder's jobs to drain.
+    fn detached_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failing test poisons the lock (and may leave its jobs
+        // blocked); the `()` it guards cannot be inconsistent, and each
+        // test measures its own baseline, so later tests carry on.
+        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        wait_until(|| detached_jobs() == 0);
+        guard
+    }
+
     #[test]
     fn detached_job_runs_and_accounting_settles() {
+        let _detached = detached_test_lock();
         let (tx, rx) = std::sync::mpsc::channel();
         spawn_detached("par-test/detached-once", move || {
             tx.send(42u32).unwrap();
@@ -656,6 +672,7 @@ mod tests {
         // `Completion::drop` until the "connection" closed; with tags it
         // may only run its own jobs, so every scope below must finish
         // while the blocker is still alive.
+        let _detached = detached_test_lock();
         let release = Arc::new((TrackedMutex::new("par.test.release", false), Condvar::new()));
         let baseline = detached_jobs();
         for _ in 0..3 {
@@ -692,6 +709,7 @@ mod tests {
 
     #[test]
     fn panicking_detached_job_leaves_pool_serviceable() {
+        let _detached = detached_test_lock();
         let baseline = detached_jobs();
         spawn_detached("par-test/detached-boom", || panic!("detached boom"))
             .expect("spawn_detached");
@@ -718,6 +736,7 @@ mod tests {
         // thousands of short scopes, interleaved with requests to the
         // live job. Completion of this test at all is the assertion —
         // the pre-tag pool could wedge a scope behind the server job.
+        let _detached = detached_test_lock();
         let (req_tx, req_rx) = std::sync::mpsc::channel::<(u64, std::sync::mpsc::Sender<u64>)>();
         spawn_detached("par-test/soak-server", move || {
             while let Ok((value, reply)) = req_rx.recv() {

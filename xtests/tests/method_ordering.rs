@@ -2,9 +2,9 @@
 //! must beat a trivial mean predictor, and methods with access to more
 //! signal must not lose to methods with less.
 
-use env2vec::config::Env2VecConfig;
+use env2vec::config::{Combination, Env2VecConfig};
 use env2vec::dataframe::Dataframe;
-use env2vec::train::{train_env2vec, train_rfnn};
+use env2vec::train::train_env2vec;
 use env2vec::vocab::EmVocabulary;
 use env2vec_baselines::forest::{ForestConfig, RandomForest};
 use env2vec_baselines::ridge::{append_history, Ridge};
@@ -110,8 +110,12 @@ fn env2vec_and_rfnn_share_front_end_but_embeddings_separate_environments() {
         max_epochs: 40,
         ..Env2VecConfig::fast()
     };
-    let (env2vec, _) = train_env2vec(cfg, vocab, &train, &val).unwrap();
-    let (rfnn, _) = train_rfnn(cfg, &train, &val).unwrap();
+    let (env2vec, _) = train_env2vec(cfg, vocab.clone(), &train, &val).unwrap();
+    let rfnn_cfg = Env2VecConfig {
+        combination: Combination::NoEmbeddings,
+        ..cfg
+    };
+    let (rfnn, _) = train_env2vec(rfnn_cfg, vocab, &train, &val).unwrap();
 
     let e = (mae(&env2vec.predict(&df_a).unwrap(), &df_a.target)
         + mae(&env2vec.predict(&df_b).unwrap(), &df_b.target))

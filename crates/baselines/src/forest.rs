@@ -7,7 +7,7 @@
 //! bootstrap resamples and averaged, mirroring scikit-learn's
 //! `RandomForestRegressor` defaults (all features per split).
 
-use env2vec_linalg::{Error, Matrix, Result};
+use env2vec_linalg::{stats, Error, Matrix, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,7 +137,7 @@ pub fn fit_best(
         },
         |model| {
             let pred = model.predict(val_x)?;
-            tune::mae(&pred, val_y)
+            stats::mae(&pred, val_y)
         },
     )
 }

@@ -17,16 +17,18 @@
 //! - [`svr`]: ε-insensitive support-vector regression with linear,
 //!   polynomial, and RBF kernels, solved by coordinate descent on the
 //!   augmented-kernel dual.
-//! - [`scaler`]: feature standardisation shared by all estimators.
 //! - [`tune`]: a small grid-search helper that selects hyper-parameters on
 //!   a validation set, exactly as the paper tunes every method.
+//!
+//! Every estimator standardises its inputs with
+//! [`env2vec_linalg::Scaler`] and is tuned on
+//! [`env2vec_linalg::stats::mae`].
 
 #![warn(missing_docs)]
 
 pub mod forest;
 pub mod linear;
 pub mod ridge;
-pub mod scaler;
 pub mod svr;
 pub mod tree;
 pub mod tune;

@@ -13,9 +13,8 @@
 //! [`fit_best_alpha`].
 
 use env2vec_linalg::cholesky::Cholesky;
-use env2vec_linalg::{Error, Matrix, Result};
+use env2vec_linalg::{stats, Error, Matrix, Result, Scaler};
 
-use crate::scaler::StandardScaler;
 use crate::tune;
 
 /// The paper's regularisation grid `{0.001, 0.01, ..., 1000}` (§4.1.3).
@@ -24,7 +23,7 @@ pub const ALPHA_GRID: [f64; 7] = [0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0];
 /// A fitted ridge-regression model.
 #[derive(Debug, Clone)]
 pub struct Ridge {
-    scaler: StandardScaler,
+    scaler: Scaler,
     /// Coefficients in standardised feature space.
     weights: Vec<f64>,
     intercept: f64,
@@ -54,7 +53,7 @@ impl Ridge {
                 what: "ridge alpha must be positive and finite",
             });
         }
-        let scaler = StandardScaler::fit(x)?;
+        let scaler = Scaler::fit(x)?;
         let xs = scaler.transform(x)?;
         let y_mean = y.iter().sum::<f64>() / y.len() as f64;
 
@@ -135,7 +134,7 @@ pub fn fit_best_alpha(
         |&alpha| Ridge::fit(train_x, train_y, alpha),
         |model| {
             let pred = model.predict(val_x)?;
-            tune::mae(&pred, val_y)
+            stats::mae(&pred, val_y)
         },
     )
     .map(|(model, _, score)| (model, score))
@@ -321,21 +320,14 @@ mod tests {
         let with_hist =
             Ridge::fit(&ax.select_rows(&train_idx).unwrap(), &ay[..n_train], 0.001).unwrap();
 
-        let mae = |pred: &[f64], actual: &[f64]| -> f64 {
-            pred.iter()
-                .zip(actual)
-                .map(|(p, a)| (p - a).abs())
-                .sum::<f64>()
-                / pred.len() as f64
-        };
         let plain_pred = plain
             .predict(&x.select_rows(&(61..80).collect::<Vec<_>>()).unwrap())
             .unwrap();
         let hist_pred = with_hist
             .predict(&ax.select_rows(&test_idx).unwrap())
             .unwrap();
-        let plain_mae = mae(&plain_pred, &y[61..80]);
-        let hist_mae = mae(&hist_pred, &ay[n_train..]);
+        let plain_mae = stats::mae(&plain_pred, &y[61..80]).unwrap();
+        let hist_mae = stats::mae(&hist_pred, &ay[n_train..]).unwrap();
         assert!(
             hist_mae < plain_mae / 2.0,
             "history should help: plain {plain_mae}, hist {hist_mae}"

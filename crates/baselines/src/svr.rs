@@ -15,9 +15,8 @@
 //! `i`. The objective is convex with a separable non-smooth part, so
 //! cyclic coordinate descent converges to the global minimum.
 
-use env2vec_linalg::{vector, Error, Matrix, Result};
+use env2vec_linalg::{stats, vector, Error, Matrix, Result, Scaler};
 
-use crate::scaler::StandardScaler;
 use crate::tune;
 
 /// The paper's regularisation grid for SVR (§4.1.3: "α: {0.001,...,1000}").
@@ -110,7 +109,7 @@ impl SvrConfig {
 /// A fitted support-vector regressor.
 #[derive(Debug, Clone)]
 pub struct Svr {
-    scaler: StandardScaler,
+    scaler: Scaler,
     /// Standardised training samples with non-zero dual coefficients.
     support: Matrix,
     /// Dual coefficients of the support vectors.
@@ -139,7 +138,7 @@ impl Svr {
                 what: "svr requires C > 0 and epsilon >= 0",
             });
         }
-        let scaler = StandardScaler::fit(x)?;
+        let scaler = Scaler::fit(x)?;
         let xs = scaler.transform(x)?;
         let n = xs.rows();
 
@@ -262,7 +261,7 @@ pub fn fit_best(
         |cfg| Svr::fit(train_x, train_y, cfg),
         |model| {
             let pred = model.predict(val_x)?;
-            tune::mae(&pred, val_y)
+            stats::mae(&pred, val_y)
         },
     )?;
     Ok((model, config, score))

@@ -31,30 +31,6 @@ pub fn grid_search<P: Clone, M>(
     })
 }
 
-/// Mean absolute error helper shared by the tuning closures.
-///
-/// Returns an error on length mismatch or empty input.
-pub fn mae(pred: &[f64], actual: &[f64]) -> Result<f64> {
-    if pred.len() != actual.len() {
-        return Err(Error::ShapeMismatch {
-            op: "tune mae",
-            lhs: (pred.len(), 1),
-            rhs: (actual.len(), 1),
-        });
-    }
-    if pred.is_empty() {
-        return Err(Error::Empty {
-            routine: "tune mae",
-        });
-    }
-    Ok(pred
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a).abs())
-        .sum::<f64>()
-        / pred.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +73,8 @@ mod tests {
 
     #[test]
     fn mae_helper() {
+        // The score every baseline's grid search minimises.
+        use env2vec_linalg::stats::mae;
         assert_eq!(mae(&[1.0, 3.0], &[2.0, 1.0]).unwrap(), 1.5);
         assert!(mae(&[1.0], &[]).is_err());
         assert!(mae(&[], &[]).is_err());

@@ -12,10 +12,8 @@
 //!
 //! Experiments: `fig1`, `table3`, `table4` (alias `kdn`), `fig3`,
 //! `fig4`, `table5`, `table6`, `table7`, `fig6`, `timing`, `ablation`,
-//! `finetune`; plus `tsdb` (the storage-engine workload) and `gemm` (the
-//! matrix-multiply microbenchmark) — neither part of `all` — and the
-//! `report` pseudo-experiment. The performance record of the system is
-//! the separate `perfbench` package; these two print tables only.
+//! `finetune`, plus the `report` pseudo-experiment. The performance
+//! record of the system is the separate `perfbench` package.
 //!
 //! `--fast` shrinks datasets/grids for a smoke run (minutes); the default
 //! preset uses the paper's 125 build chains at reduced execution length;
@@ -23,10 +21,11 @@
 //! of `--fast`/`--full` picks the preset; `--seed` and `--runs` override
 //! it wherever they appear.
 //!
-//! Parallelism: `--threads N` bounds the worker pool (default:
-//! `ENV2VEC_THREADS` or the machine's available parallelism). Results
-//! are bit-identical at every thread count — see the `env2vec-par`
-//! determinism contract — so the flag trades wall-clock only.
+//! Parallelism: `--threads N` bounds the worker pool that runs the
+//! study's independent fits and chains (default: `ENV2VEC_THREADS` or
+//! the machine's available parallelism). Results are bit-identical at
+//! every thread count — see the `env2vec-par` determinism contract — so
+//! the flag trades wall-clock only.
 //!
 //! Observability: `--trace-out FILE` dumps the run's hierarchical spans
 //! as a Chrome trace (open in `chrome://tracing` or Perfetto);
@@ -65,8 +64,7 @@ fn usage() -> &'static str {
     "usage: repro [--fast|--full] [--seed N] [--runs N] [--threads N] [--verbose]\n\
      \x20            [--trace-out FILE] [--metrics-out FILE] [--profile-ops DIR] <experiment>...\n\
      experiments: fig1 table3 table4 (alias: kdn) fig3 fig4 table5 table6 table7 fig6 timing\n\
-     \x20            ablation finetune | all; plus `tsdb` (storage-engine workload),\n\
-     \x20            `gemm` (matrix-multiply microbenchmark) and `report` (introspection report)"
+     \x20            ablation finetune | all; plus `report` (introspection report)"
 }
 
 /// Per-experiment outcome for the timing table.
@@ -133,8 +131,6 @@ fn main() -> ExitCode {
                 }
             },
             "kdn" => chosen.push("table4".to_string()),
-            "tsdb" => chosen.push("tsdb".to_string()),
-            "gemm" => chosen.push("gemm".to_string()),
             "report" => want_report = true,
             "all" => chosen.extend(ALL.iter().map(|s| s.to_string())),
             "-h" | "--help" => {
@@ -250,8 +246,6 @@ fn main() -> ExitCode {
             match name.as_str() {
                 "table3" => table3::run(&opts),
                 "table4" => table4::run(&opts),
-                "tsdb" => env2vec_bench::tsdb_ops::run(&opts).map(|(text, _)| text),
-                "gemm" => env2vec_bench::gemm_ops::run(&opts).map(|(text, _)| text),
                 "fig1" => need_study().and_then(fig1::run),
                 "fig3" => need_study().and_then(fig3::run),
                 "fig4" => need_study().and_then(fig4::run),

@@ -60,6 +60,8 @@ fn retired_bench_flags_and_serve_are_unknown_arguments() {
         &["--fast", "--bench-history", ".", "table3"],
         &["--fast", "--bench-gate", "table3"],
         &["--fast", "serve"],
+        &["--fast", "tsdb"],
+        &["--fast", "gemm"],
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -12,6 +12,7 @@
 //! lookup tables. Trained per environment it is the paper's `RFNN`;
 //! trained on pooled data it is `RFNN_all`.
 
+pub use env2vec_linalg::Scaler;
 use env2vec_linalg::{Error, Matrix, Result};
 use env2vec_nn::graph::{Graph, NodeId};
 use env2vec_nn::layers::{dropout_mask, Activation, AttentionPool, Dense, Embedding, GruCell};
@@ -33,60 +34,6 @@ pub(crate) fn model_init_bilinear(rng: &mut StdRng, dim: usize) -> Matrix {
         m.set(i, i, v);
     }
     m
-}
-
-/// Per-feature standardisation parameters (fit on training data).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Scaler {
-    /// Per-feature means.
-    pub means: Vec<f64>,
-    /// Per-feature standard deviations (zero-variance features get 1).
-    pub stds: Vec<f64>,
-}
-
-impl Scaler {
-    /// Fits on the rows of `x`.
-    ///
-    /// Returns an error for an empty matrix.
-    pub fn fit(x: &Matrix) -> Result<Self> {
-        if x.rows() == 0 {
-            return Err(Error::Empty {
-                routine: "scaler fit",
-            });
-        }
-        let means = x.col_means();
-        let mut stds = vec![0.0; x.cols()];
-        for i in 0..x.rows() {
-            for (s, (&v, &m)) in stds.iter_mut().zip(x.row(i).iter().zip(&means)) {
-                *s += (v - m) * (v - m);
-            }
-        }
-        for s in &mut stds {
-            *s = (*s / x.rows() as f64).sqrt();
-            // envlint: allow(float-cmp) — exact zero-guard: a constant column
-            // has std identically 0.0 and must not become a divisor.
-            if *s == 0.0 {
-                *s = 1.0;
-            }
-        }
-        Ok(Scaler { means, stds })
-    }
-
-    /// Standardises a matrix.
-    ///
-    /// Returns an error on width mismatch.
-    pub fn transform(&self, x: &Matrix) -> Result<Matrix> {
-        if x.cols() != self.means.len() {
-            return Err(Error::ShapeMismatch {
-                op: "scaler transform",
-                lhs: x.shape(),
-                rhs: (1, self.means.len()),
-            });
-        }
-        Ok(Matrix::from_fn(x.rows(), x.cols(), |i, j| {
-            (x.get(i, j) - self.means[j]) / self.stds[j]
-        }))
-    }
 }
 
 /// Scalar standardisation for the target.

@@ -290,7 +290,7 @@ fn fit(
 mod tests {
     use super::*;
     use crate::config::Combination;
-    use env2vec_nn::loss::mae;
+    use env2vec_linalg::stats::mae;
 
     /// A synthetic two-environment task where the environment shifts the
     /// target: y = f(cf) + offset(env) + AR carry-over.

@@ -39,7 +39,7 @@ pub enum RuleId {
     CastTruncation,
     /// A lock guard (`.lock()` / `.read()` / `.write()` binding) live
     /// across a call that hands work to the pool (`par::scope`, `spawn`,
-    /// `spawn_named`, `par_for_chunks`, ...). The help-stealing scope
+    /// `spawn_named`, `par_map`, ...). The help-stealing scope
     /// owner runs sibling jobs inline, so a job that re-acquires the
     /// held lock deadlocks against its own spawner.
     LockAcrossSpawn,
@@ -156,7 +156,7 @@ impl RuleId {
             }
             RuleId::CastTruncation => "no narrowing integer `as` casts in linalg hot kernels",
             RuleId::LockAcrossSpawn => {
-                "no lock guard live across par::scope/spawn/par_for_chunks (pool deadlock risk)"
+                "no lock guard live across par::scope/spawn/par_map (pool deadlock risk)"
             }
             RuleId::LockOrder => {
                 "no two lock guards live in the same scope without a reasoned ordering allow"

@@ -89,7 +89,7 @@ pub struct ScopeInfo {
     /// Lock-guard bindings with live ranges.
     pub guards: Vec<Guard>,
     /// Token indices of calls that hand work to another thread
-    /// (`par::scope`, `spawn`, `spawn_named`, `par_for_chunks`, ...).
+    /// (`par::scope`, `spawn`, `spawn_named`, `par_map`, ...).
     pub spawns: Vec<usize>,
     /// Token indices of file/network calls (`fs::*`, `File::*`,
     /// `read_to_string`, `TcpStream`, ...).

@@ -23,9 +23,9 @@ use env2vec::config::{Combination, Env2VecConfig};
 use env2vec::dataframe::Dataframe;
 use env2vec::train::train_env2vec;
 use env2vec::vocab::EmVocabulary;
+use env2vec_linalg::stats::mae;
 use env2vec_linalg::Result;
 
-use crate::metrics::mae;
 use crate::render::TextTable;
 use crate::telecom_study::TelecomStudy;
 

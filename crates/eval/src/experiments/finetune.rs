@@ -12,7 +12,7 @@ use env2vec::anomaly::AnomalyDetector;
 use env2vec::dataframe::Dataframe;
 use env2vec::pipeline::{history_error_distribution, Resource};
 use env2vec::train::fine_tune_env2vec;
-use env2vec_linalg::Result;
+use env2vec_linalg::{stats, Result};
 
 use crate::alarm_eval::{score_alarms, AlarmCounts};
 use crate::render::TextTable;
@@ -93,7 +93,7 @@ pub fn compute(study: &TelecomStudy) -> Result<FinetuneResult> {
                 window,
                 &study.blind_vocab,
             )?;
-            total += crate::metrics::mae(&m.predict(&df)?, &df.target)?;
+            total += stats::mae(&m.predict(&df)?, &df.target)?;
         }
         Ok(total / study.eval_chain_ids.len().max(1) as f64)
     };

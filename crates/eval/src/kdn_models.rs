@@ -13,7 +13,7 @@
 
 use env2vec::config::{Combination, Env2VecConfig};
 use env2vec::dataframe::Dataframe;
-use env2vec::model::{Scaler, TargetScaler};
+use env2vec::model::TargetScaler;
 use env2vec::train::train_env2vec;
 use env2vec::vocab::EmVocabulary;
 use env2vec::Env2VecModel;
@@ -21,8 +21,8 @@ use env2vec_baselines::forest;
 use env2vec_baselines::ridge::{self, ALPHA_GRID};
 use env2vec_baselines::svr::{self, Kernel};
 use env2vec_datagen::kdn::{KdnDataset, Vnf};
-use env2vec_linalg::stats::paired_t_test;
-use env2vec_linalg::{Matrix, Result};
+use env2vec_linalg::stats::{mae, mse, paired_t_test};
+use env2vec_linalg::{Matrix, Result, Scaler};
 use env2vec_nn::graph::{Graph, NodeId};
 use env2vec_nn::layers::{dropout_mask, Activation, Dense};
 use env2vec_nn::optim::{Adam, Optimizer};
@@ -31,7 +31,7 @@ use env2vec_nn::trainer::{shuffled_batches, EarlyStopping};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::metrics::{mae, mse, RunStats};
+use crate::metrics::RunStats;
 use crate::options::EvalOptions;
 
 /// Scores of one method on one dataset's test split.

@@ -6,7 +6,8 @@
 //! (§4.3, Tables 6/7, Figure 6). This crate holds the machinery:
 //!
 //! - [`options`]: run-size knobs (`fast` for CI, `full` for paper scale).
-//! - [`metrics`]: per-chain MAE/MSE scoring.
+//! - [`metrics`]: mean ± std over repeated runs' MAE/MSE scores (the
+//!   scores themselves are `env2vec_linalg::stats::{mae, mse}`).
 //! - [`alarm_eval`]: alarm-vs-ground-truth matching and the paper's
 //!   `A_T`/`A_F` rates.
 //! - [`render`]: plain-text tables, CDF plots and heatmaps for terminal

@@ -1,46 +1,6 @@
-//! Scoring helpers shared by the experiments.
+//! Run aggregation shared by the experiments.
 
 use env2vec_linalg::{Error, Result};
-
-/// Mean absolute error.
-///
-/// Returns an error on mismatched or empty input.
-pub fn mae(pred: &[f64], actual: &[f64]) -> Result<f64> {
-    check(pred, actual)?;
-    Ok(pred
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a).abs())
-        .sum::<f64>()
-        / pred.len() as f64)
-}
-
-/// Mean squared error.
-///
-/// Returns an error on mismatched or empty input.
-pub fn mse(pred: &[f64], actual: &[f64]) -> Result<f64> {
-    check(pred, actual)?;
-    Ok(pred
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a) * (p - a))
-        .sum::<f64>()
-        / pred.len() as f64)
-}
-
-fn check(pred: &[f64], actual: &[f64]) -> Result<()> {
-    if pred.len() != actual.len() {
-        return Err(Error::ShapeMismatch {
-            op: "metric",
-            lhs: (pred.len(), 1),
-            rhs: (actual.len(), 1),
-        });
-    }
-    if pred.is_empty() {
-        return Err(Error::Empty { routine: "metric" });
-    }
-    Ok(())
-}
 
 /// Mean ± standard deviation over repeated runs, formatted as the paper's
 /// Table 4 entries (`4.61 ± 0.12`).
@@ -89,6 +49,8 @@ mod tests {
 
     #[test]
     fn mae_mse_reference() {
+        // The two scores every table reports.
+        use env2vec_linalg::stats::{mae, mse};
         let p = [1.0, 2.0];
         let a = [2.0, 4.0];
         assert_eq!(mae(&p, &a).unwrap(), 1.5);

@@ -28,11 +28,10 @@ use env2vec_baselines::ridge::{self, Ridge, ALPHA_GRID};
 use env2vec_datagen::telecom::{BuildChain, Execution, TelecomConfig, TelecomDataset};
 use env2vec_htm::{HtmAnomalyDetector, HtmConfig};
 use env2vec_introspect::IntrospectObserver;
-use env2vec_linalg::stats::Gaussian;
+use env2vec_linalg::stats::{mae, mse, Gaussian};
 use env2vec_linalg::{Error, Matrix, Result};
 
 use crate::alarm_eval::{flags_to_intervals, score_alarms, AlarmCounts};
-use crate::metrics::mae;
 use crate::options::EvalOptions;
 
 /// Number of evaluation executions (the paper screens 11 new builds).
@@ -372,7 +371,7 @@ impl TelecomStudy {
         let mut clean_mse = [0.0; 4];
         for (i, (pred, actual)) in preds.iter().enumerate() {
             clean_mae[i] = mae(pred, actual)?;
-            clean_mse[i] = crate::metrics::mse(pred, actual)?;
+            clean_mse[i] = mse(pred, actual)?;
         }
 
         Ok(ChainState {

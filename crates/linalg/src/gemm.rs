@@ -17,10 +17,16 @@
 //! terms the naive kernel skips (bitwise-zero `a` against a finite `b`
 //! row). Register accumulation instead of memory accumulation does not
 //! reassociate that chain, and Rust never contracts `mul`+`add` into a
-//! fused multiply-add implicitly, so the packed kernel, the naive
-//! kernel and every thread count produce identical bits. The one thing
-//! that *would* break this is KC-blocking (partial sums over `k`
-//! re-added to memory) — deliberately not done here.
+//! fused multiply-add implicitly, so the packed and naive kernels
+//! produce identical bits. The one thing that *would* break this is
+//! KC-blocking (partial sums over `k` re-added to memory) — deliberately
+//! not done here.
+//!
+//! Every product runs sequentially on the calling thread. At the model's
+//! shapes (batch 64, a few dozen features and hidden units) a product is
+//! tens of microseconds of work, less than fanning row blocks out to a
+//! worker pool costs; parallelism lives one level up, at whole
+//! evaluation jobs.
 //!
 //! The zero-skip follows the same IEEE-754 reasoning as the original
 //! kernel: `0·NaN = 0·inf = NaN`, so a bitwise-zero left entry is only
@@ -31,7 +37,6 @@
 //! same skip predicate rather than approximating it.
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::OnceLock;
 use std::thread::LocalKey;
 
@@ -55,23 +60,11 @@ const PACK_MIN_FLOPS: usize = 8192;
 /// most of the `NR`-wide tile on padding.
 const PACK_MIN_COLS: usize = NR;
 
-/// Minimum `m * k * n` before the product fans row blocks out to the
-/// worker pool. Below this the spawn/join overhead (~µs per scope) is
-/// comparable to the multiply itself. Per-output-row work is identical
-/// in both paths, so the gate affects wall-clock only, never bits.
-pub(crate) const PAR_MIN_ELEMS: usize = 1 << 17;
-
-/// Rows per parallel job: big enough to amortise queue traffic, small
-/// enough to balance load across workers on paper-sized matrices. A
-/// multiple of [`MR`] so only the final block packs a ragged panel.
-pub(crate) const ROW_BLOCK: usize = 16;
-
 thread_local! {
     /// Packed right-operand panels, reused across calls on each thread.
     static PB_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
-    /// Packed left-operand panel, reused across calls/jobs on each
-    /// thread (worker threads are persistent, so steady-state training
-    /// loops stop allocating here entirely).
+    /// Packed left-operand panels, reused across calls on each thread
+    /// (steady-state training loops stop allocating here entirely).
     static PA_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
     /// Per-`k` finiteness of the right operand (1 = finite slice),
     /// filled as a by-product of packing B.
@@ -130,19 +123,19 @@ fn microkernel(pa: &[f64], pb: &[f64], finite: &[u8], acc: &mut [[f64; NR]; MR])
     }
 }
 
-/// Computes the C rows in `rows` (a contiguous slab `out_rows`, row
-/// stride `n`) from pre-packed B panels. `pack_a_panel(first, h, dest)`
-/// fills `dest` (`k·MR` doubles) with rows `first..first+h` of the
-/// effective left operand; the unused `MR - h` lanes are padded with
-/// `1.0` (never `0.0`, so padding cannot push a dense column onto the
-/// microkernel's skipping lane — padded results are discarded at store).
+/// Computes all `m` rows of C (`out`, row stride `n`) from pre-packed B
+/// panels. `pack_a_panel(first, h, dest)` fills `dest` (`k·MR` doubles)
+/// with rows `first..first+h` of the effective left operand; the unused
+/// `MR - h` lanes are padded with `1.0` (never `0.0`, so padding cannot
+/// push a dense column onto the microkernel's skipping lane — padded
+/// results are discarded at store).
 ///
-/// All A panels for the row slab are packed once up front; the B-panel
-/// loop is outermost so each packed B panel is reused across every A
-/// panel while it is cache-hot.
+/// All A panels are packed once up front; the B-panel loop is outermost
+/// so each packed B panel is reused across every A panel while it is
+/// cache-hot.
 fn gemm_rows(
-    out_rows: &mut [f64],
-    rows: Range<usize>,
+    out: &mut [f64],
+    m: usize,
     n: usize,
     k: usize,
     pb: &[f64],
@@ -150,16 +143,14 @@ fn gemm_rows(
     mut pack_a_panel: impl FnMut(usize, usize, &mut [f64]),
 ) {
     with_scratch(&PA_SCRATCH, |pa| {
-        let h_total = rows.len();
-        let a_panels = h_total.div_ceil(MR);
-        let need = a_panels * k * MR;
+        let need = m.div_ceil(MR) * k * MR;
         if pa.len() < need {
             pa.resize(need, 0.0);
         }
         let pa = &mut pa[..need];
         for (pi, panel) in pa.chunks_exact_mut(k * MR).enumerate() {
             let p0 = pi * MR;
-            pack_a_panel(rows.start + p0, MR.min(h_total - p0), panel);
+            pack_a_panel(p0, MR.min(m - p0), panel);
         }
         let mut j0 = 0;
         while j0 < n {
@@ -167,11 +158,11 @@ fn gemm_rows(
             let b_panel = &pb[(j0 / NR) * k * NR..][..k * NR];
             for (pi, a_panel) in pa.chunks_exact(k * MR).enumerate() {
                 let p0 = pi * MR;
-                let h = MR.min(h_total - p0);
+                let h = MR.min(m - p0);
                 let mut acc = [[0.0_f64; NR]; MR];
                 microkernel(a_panel, b_panel, finite, &mut acc);
                 for (r, acc_row) in acc.iter().enumerate().take(h) {
-                    let dst = &mut out_rows[(p0 + r) * n + j0..][..w];
+                    let dst = &mut out[(p0 + r) * n + j0..][..w];
                     dst.copy_from_slice(&acc_row[..w]);
                 }
             }
@@ -248,11 +239,6 @@ fn packable(m: usize, k: usize, n: usize) -> bool {
     n >= PACK_MIN_COLS && m >= 2 && k >= 2 && 2 * m * k * n >= PACK_MIN_FLOPS
 }
 
-/// Whether a product of this shape should fan out to the worker pool.
-fn parallel(m: usize, k: usize, n: usize) -> bool {
-    m.saturating_mul(k).saturating_mul(n) >= PAR_MIN_ELEMS && env2vec_par::max_threads() > 1
-}
-
 /// Computes `out = A·B` (`a` is `m×k`, `b` is `k×n`), matching the
 /// naive kernel bit-for-bit.
 pub(crate) fn gemm_nn(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
@@ -262,10 +248,8 @@ pub(crate) fn gemm_nn(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &
             with_scratch(&FIN_SCRATCH, |fin| {
                 pack_b_nn(b, k, n, pb, fin);
                 let pb = &pb[..packed_b_len(k, n)];
-                run_packed(out, m, n, k, |rows, out_block| {
-                    gemm_rows(out_block, rows, n, k, pb, fin, |first, h, dest| {
-                        pack_a_rows(a, k, first, h, dest);
-                    });
+                gemm_rows(out, m, n, k, pb, fin, |first, h, dest| {
+                    pack_a_rows(a, k, first, h, dest);
                 });
             });
         });
@@ -283,10 +267,8 @@ pub(crate) fn gemm_nt(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &
             with_scratch(&FIN_SCRATCH, |fin| {
                 pack_b_nt(b, n, k, pb, fin);
                 let pb = &pb[..packed_b_len(k, n)];
-                run_packed(out, m, n, k, |rows, out_block| {
-                    gemm_rows(out_block, rows, n, k, pb, fin, |first, h, dest| {
-                        pack_a_rows(a, k, first, h, dest);
-                    });
+                gemm_rows(out, m, n, k, pb, fin, |first, h, dest| {
+                    pack_a_rows(a, k, first, h, dest);
                 });
             });
         });
@@ -304,41 +286,13 @@ pub(crate) fn gemm_tn(a: &[f64], k: usize, m: usize, b: &[f64], n: usize, out: &
             with_scratch(&FIN_SCRATCH, |fin| {
                 pack_b_nn(b, k, n, pb, fin);
                 let pb = &pb[..packed_b_len(k, n)];
-                run_packed(out, m, n, k, |rows, out_block| {
-                    gemm_rows(out_block, rows, n, k, pb, fin, |first, h, dest| {
-                        pack_a_cols(a, m, k, first, h, dest);
-                    });
+                gemm_rows(out, m, n, k, pb, fin, |first, h, dest| {
+                    pack_a_cols(a, m, k, first, h, dest);
                 });
             });
         });
     } else {
         naive_tn(a, k, m, b, n, out);
-    }
-}
-
-/// Dispatches packed row-block work either sequentially or across the
-/// pool. `run_block(rows, out_block)` must compute exactly those C rows;
-/// blocks never overlap, so any schedule yields the same bits.
-fn run_packed(
-    out: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    run_block: impl Fn(Range<usize>, &mut [f64]) + Sync,
-) {
-    if parallel(m, k, n) {
-        let block_elems = ROW_BLOCK * n;
-        env2vec_par::scope(|s| {
-            for (bi, out_block) in out.chunks_mut(block_elems).enumerate() {
-                let run_block = &run_block;
-                s.spawn(move || {
-                    let i0 = bi * ROW_BLOCK;
-                    run_block(i0..i0 + out_block.len() / n, out_block);
-                });
-            }
-        });
-    } else {
-        run_block(0..m, out);
     }
 }
 
@@ -385,8 +339,7 @@ fn lazy_row_finite(b: &[f64], k: usize, n: usize, cache: &OnceLock<Vec<bool>>, k
 }
 
 /// The original `ikj` kernel: accumulates `a_row · b` into one output
-/// row. Shared by the sequential and parallel naive paths so the
-/// per-row result is bit-identical regardless of scheduling.
+/// row.
 fn mul_row_into(
     a_row: &[f64],
     b: &[f64],
@@ -408,24 +361,11 @@ fn mul_row_into(
     }
 }
 
-/// Naive `A·B` with the original row-block parallel fan-out for large
-/// shapes the packed path declines (e.g. single-column outputs).
+/// Naive `A·B` for the shapes the packed path declines (e.g.
+/// single-column outputs).
 fn naive_nn(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     let row_finite = OnceLock::new();
-    if parallel(m, k, n) {
-        let block_elems = ROW_BLOCK * n;
-        env2vec_par::scope(|s| {
-            for (bi, out_block) in out.chunks_mut(block_elems).enumerate() {
-                let row_finite = &row_finite;
-                s.spawn(move || {
-                    for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                        let i = bi * ROW_BLOCK + r;
-                        mul_row_into(&a[i * k..(i + 1) * k], b, k, n, out_row, row_finite);
-                    }
-                });
-            }
-        });
-    } else if n == 1 {
+    if n == 1 {
         // Single-column product (the model's output heads): keep the
         // accumulator in a register instead of re-loading the one-element
         // output row on every `k` step. Same chain: `out` is pre-zeroed,

@@ -14,14 +14,13 @@
 //! - [`pca`]: principal component analysis on top of [`eigen`], used to
 //!   project the learned environment embeddings to 2-D (paper Figure 6).
 //! - [`stats`]: descriptive statistics (Welford mean/variance, quantiles,
-//!   Pearson correlation) used throughout the evaluation harness.
+//!   Pearson correlation) and the MAE/MSE error metrics used throughout
+//!   the evaluation harness.
+//! - [`Scaler`]: the per-feature standardisation every model fits on its
+//!   inputs.
 //!
-//! All routines are deterministic and allocation-explicit. Large
-//! `matmul`/`matvec`/`col_means` calls fan out over the
-//! [`env2vec_par`] worker pool, under that crate's contract that results
-//! stay bit-identical to single-threaded execution (fixed chunk
-//! boundaries, fixed reduction order). Fallible operations return
-//! [`Error`] rather than panicking.
+//! All routines are deterministic, sequential and allocation-explicit.
+//! Fallible operations return [`Error`] rather than panicking.
 
 #![warn(missing_docs)]
 
@@ -31,8 +30,10 @@ pub mod error;
 mod gemm;
 pub mod matrix;
 pub mod pca;
+pub mod scaler;
 pub mod stats;
 pub mod vector;
 
 pub use error::{Error, Result};
 pub use matrix::Matrix;
+pub use scaler::Scaler;

@@ -5,13 +5,13 @@
 //! normal equations with it, and PCA projects through it. Matrix products
 //! route through the packed, register-blocked kernels in [`crate::gemm`]
 //! (with a naive fallback for tiny shapes); both paths produce
-//! bit-identical results at every thread count.
+//! bit-identical results.
 
 // Indexed loops mirror the textbook formulations of these numeric
 // kernels; iterator rewrites would obscure them.
 #![allow(clippy::needless_range_loop)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::{Error, Result};
 use crate::gemm;
@@ -21,27 +21,21 @@ use crate::gemm;
 /// tile to stay L1-resident.
 const TRANSPOSE_BLOCK: usize = 32;
 
-/// Minimum `rows * cols` before `matvec` parallelises, mirroring
-/// [`gemm::PAR_MIN_ELEMS`].
-const MATVEC_PAR_ELEMS: usize = 1 << 17;
-
-/// Rows per `matvec` job (each row is a single dot product).
-const MATVEC_ROW_BLOCK: usize = 256;
-
 /// Minimum row count before `col_means` switches to chunked
-/// accumulation. Unlike the matmul gate this is a *size-only* gate — the
-/// chunked path reassociates the column sums, so it must be taken
-/// identically at every thread count (including 1) to keep results
-/// thread-count independent.
-const COL_STATS_PAR_ROWS: usize = 8192;
+/// accumulation. The chunked sum reassociates the column sums, so the
+/// gate is on size only and the bits of every tall fit depend on it.
+const COL_STATS_CHUNKED_ROWS: usize = 8192;
 
-/// Rows per `col_means` chunk; boundaries are fixed by
-/// [`env2vec_par::chunk_ranges`] and the fold runs in ascending chunk
-/// order, so the reassociation is deterministic.
+/// Rows per `col_means` chunk; the partial sums are folded in ascending
+/// chunk order.
 const COL_STATS_CHUNK: usize = 2048;
 
 /// A dense matrix of `f64` stored in row-major order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialisation goes through [`Matrix::from_vec`], so a document whose
+/// `data` length disagrees with `rows × cols` fails to load instead of
+/// panicking at first use.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -78,9 +72,10 @@ impl Matrix {
 
     /// Creates a matrix from a row-major data vector.
     ///
-    /// Returns an error when `data.len() != rows * cols`.
+    /// Returns an error when `data.len() != rows * cols`, including when
+    /// `rows * cols` overflows.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(Error::ShapeMismatch {
                 op: "from_vec",
                 lhs: (rows, cols),
@@ -302,10 +297,9 @@ impl Matrix {
     /// kernels of [`crate::gemm`] (naive `ikj` fallback for tiny
     /// shapes).
     ///
-    /// Large products fan out over parallel row blocks; every output
-    /// element is produced by the exact same ascending-`k` accumulation
-    /// chain on every path, so the result is bit-identical for any
-    /// thread count and for either kernel.
+    /// Every output element is produced by the exact same ascending-`k`
+    /// accumulation chain on either kernel, so the result is
+    /// bit-identical for both.
     ///
     /// Returns an error when the inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
@@ -408,11 +402,7 @@ impl Matrix {
         }
     }
 
-    /// Matrix-vector product `self * v`.
-    ///
-    /// Parallelised over row blocks above [`MATVEC_PAR_ELEMS`]; each
-    /// output element is a single dot product computed identically in
-    /// both paths.
+    /// Matrix-vector product `self * v`: one dot product per row.
     ///
     /// Returns an error when `v.len() != cols`.
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
@@ -423,20 +413,9 @@ impl Matrix {
                 rhs: (v.len(), 1),
             });
         }
-        let mut out = vec![0.0; self.rows];
-        let dot = |i: usize| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum();
-        if self.rows.saturating_mul(self.cols) >= MATVEC_PAR_ELEMS {
-            env2vec_par::par_for_chunks(&mut out, MATVEC_ROW_BLOCK, |bi, block| {
-                for (r, o) in block.iter_mut().enumerate() {
-                    *o = dot(bi * MATVEC_ROW_BLOCK + r);
-                }
-            });
-        } else {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = dot(i);
-            }
-        }
-        Ok(out)
+        Ok((0..self.rows)
+            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
+            .collect())
     }
 
     /// Element-wise sum `self + rhs`.
@@ -678,47 +657,39 @@ impl Matrix {
         })
     }
 
-    /// Per-column means, or an empty vector for a matrix with no rows.
+    /// Per-column means, or zeros for a matrix with no rows.
     ///
-    /// Tall matrices (≥ [`COL_STATS_PAR_ROWS`] rows) accumulate per-chunk
-    /// partial sums folded in fixed chunk order. The gate is on *size
-    /// only*: the chunked path reassociates the sum, so taking it at
-    /// every thread count (including 1) is what keeps the result
-    /// thread-count independent.
+    /// Tall matrices (≥ [`COL_STATS_CHUNKED_ROWS`] rows) sum each
+    /// [`COL_STATS_CHUNK`]-row chunk on its own and fold the partial sums
+    /// in ascending chunk order; shorter ones sum row by row. The gate is
+    /// on size only, and the chunking fixes the bits of every tall fit.
     pub fn col_means(&self) -> Vec<f64> {
         if self.rows == 0 {
             return vec![0.0; self.cols];
         }
-        let mut means = if self.rows >= COL_STATS_PAR_ROWS {
-            env2vec_par::par_map_reduce(
-                self.rows,
-                COL_STATS_CHUNK,
-                |range| {
-                    let mut partial = vec![0.0; self.cols];
-                    for i in range {
-                        for (m, &x) in partial.iter_mut().zip(self.row(i)) {
-                            *m += x;
-                        }
-                    }
-                    partial
-                },
-                |mut acc, partial| {
-                    for (a, p) in acc.iter_mut().zip(&partial) {
-                        *a += p;
-                    }
-                    acc
-                },
-            )
-            .unwrap_or_else(|| vec![0.0; self.cols])
+        let chunk = if self.rows >= COL_STATS_CHUNKED_ROWS {
+            COL_STATS_CHUNK
         } else {
-            let mut sums = vec![0.0; self.cols];
-            for i in 0..self.rows {
-                for (m, &x) in sums.iter_mut().zip(self.row(i)) {
-                    *m += x;
+            self.rows
+        };
+        let width = self.cols.max(1);
+        let mut means = vec![0.0; self.cols];
+        let mut partial = vec![0.0; self.cols];
+        for (ci, rows) in self.data.chunks(chunk * width).enumerate() {
+            // The first chunk's sums seed the fold; later ones add on.
+            let sums = if ci == 0 { &mut means } else { &mut partial };
+            sums.fill(0.0);
+            for row in rows.chunks(width) {
+                for (s, &x) in sums.iter_mut().zip(row) {
+                    *s += x;
                 }
             }
-            sums
-        };
+            if ci > 0 {
+                for (m, &p) in means.iter_mut().zip(&partial) {
+                    *m += p;
+                }
+            }
+        }
         for m in &mut means {
             *m /= self.rows as f64;
         }
@@ -751,6 +722,15 @@ impl Matrix {
             }
         }
         out
+    }
+}
+
+impl serde::Deserialize for Matrix {
+    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        let rows = usize::deserialize(value.field("rows")?)?;
+        let cols = usize::deserialize(value.field("cols")?)?;
+        let data = Vec::<f64>::deserialize(value.field("data")?)?;
+        Matrix::from_vec(rows, cols, data).map_err(|e| serde::Error::new(e.to_string()))
     }
 }
 
@@ -919,51 +899,72 @@ mod tests {
         assert!(g.get(1, 1).is_infinite());
     }
 
-    #[test]
-    fn parallel_matmul_is_bit_identical_to_sequential() {
-        // 64·64·64 = 262144 flops crosses MATMUL_PAR_FLOPS.
-        let a = Matrix::from_fn(64, 64, |i, j| ((i * 37 + j * 17) % 101) as f64 / 7.0 - 5.0);
-        let b = Matrix::from_fn(64, 64, |i, j| ((i * 13 + j * 29) % 97) as f64 / 3.0 - 11.0);
-        let sequential = env2vec_par::with_thread_limit(1, || a.matmul(&b).unwrap());
-        for threads in [2, 4] {
-            let parallel = env2vec_par::with_thread_limit(threads, || a.matmul(&b).unwrap());
-            for (s, p) in sequential.as_slice().iter().zip(parallel.as_slice()) {
-                assert_eq!(s.to_bits(), p.to_bits(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matvec_is_bit_identical_to_sequential() {
-        // 512·512 = 262144 elements crosses MATVEC_PAR_ELEMS.
-        let m = Matrix::from_fn(512, 512, |i, j| ((i * 31 + j * 7) % 89) as f64 / 9.0 - 4.0);
-        let v: Vec<f64> = (0..512)
-            .map(|i| ((i * 11) % 53) as f64 / 5.0 - 5.0)
+    /// `col_means` by hand: 2048-row chunks summed on their own, partials
+    /// folded in ascending order. Also returns the naive top-to-bottom sum,
+    /// which must differ somewhere for the input to pin the chunking.
+    fn chunked_and_naive_means(m: &Matrix) -> (Vec<f64>, Vec<f64>) {
+        let rows = m.rows() as f64;
+        let chunked = (0..m.cols())
+            .map(|j| {
+                let col = m.col(j);
+                let partials = col.chunks(2048).map(|c| c.iter().fold(0.0, |a, &x| a + x));
+                partials.reduce(|a, p| a + p).unwrap() / rows
+            })
             .collect();
-        let sequential = env2vec_par::with_thread_limit(1, || m.matvec(&v).unwrap());
-        let parallel = env2vec_par::with_thread_limit(4, || m.matvec(&v).unwrap());
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
+        let naive = (0..m.cols())
+            .map(|j| m.col_iter(j).fold(0.0, |a, x| a + x) / rows)
+            .collect();
+        (chunked, naive)
     }
 
     #[test]
     fn chunked_col_means_is_thread_count_independent() {
-        // 8192 rows crosses COL_STATS_PAR_ROWS, so the chunked
-        // (reassociated) path runs at every thread count.
-        let m = Matrix::from_fn(8192, 3, |i, j| ((i * 7 + j) % 1009) as f64 * 1e-3 - 0.5);
-        let one = env2vec_par::with_thread_limit(1, || m.col_means());
-        let four = env2vec_par::with_thread_limit(4, || m.col_means());
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // Both inputs reach the chunked (reassociated) path, which has
+        // no thread count to depend on: the bits equal a fixed chunked
+        // fold, and a naive sum would move them.
+        let inputs = [
+            Matrix::from_fn(8192, 3, |i, j| ((i * 7 + j) % 1009) as f64 * 1e-3 - 0.5),
+            Matrix::from_fn(9000, 5, |i, j| ((i * 17 + j) % 1013) as f64 * 1e-4),
+        ];
+        for m in &inputs {
+            let (chunked, naive) = chunked_and_naive_means(m);
+            let got = m.col_means();
+            for (j, (g, c)) in got.iter().zip(&chunked).enumerate() {
+                assert_eq!(g.to_bits(), c.to_bits(), "{:?} column {j}", m.shape());
+            }
+            assert!(
+                chunked
+                    .iter()
+                    .zip(&naive)
+                    .any(|(c, n)| c.to_bits() != n.to_bits()),
+                "{:?}: the naive sum agrees, so this input pins nothing",
+                m.shape()
+            );
         }
-        // And the chunked sum is still the right mean.
-        let naive: Vec<f64> = (0..3)
-            .map(|j| m.col(j).iter().sum::<f64>() / 8192.0)
-            .collect();
-        for (a, b) in one.iter().zip(&naive) {
-            assert!((a - b).abs() < 1e-9);
-        }
+    }
+
+    #[test]
+    fn deserialize_checks_the_shape() {
+        let m = m23();
+        let json = serde::Serialize::serialize(&m);
+        let back: Matrix = serde::Deserialize::deserialize(&json).unwrap();
+        assert_eq!(back, m);
+        let doc = |rows: u64, cols: u64, len: usize| {
+            serde::Value::Object(vec![
+                ("rows".into(), serde::Value::UInt(rows)),
+                ("cols".into(), serde::Value::UInt(cols)),
+                (
+                    "data".into(),
+                    serde::Value::Array(vec![serde::Value::Float(1.0); len]),
+                ),
+            ])
+        };
+        // One value short of 2×3.
+        assert!(<Matrix as serde::Deserialize>::deserialize(&doc(2, 3, 5)).is_err());
+        // A shape whose element count overflows `usize`, with empty data.
+        let huge = 1u64 << 33;
+        assert!(<Matrix as serde::Deserialize>::deserialize(&doc(huge, huge, 0)).is_err());
+        assert!(Matrix::from_vec(usize::MAX, 2, Vec::new()).is_err());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The paper's evaluation leans on a handful of statistical primitives:
 //! mean/standard deviation of the prediction-error distribution (the
 //! anomaly threshold `μ ± γσ`), quantiles for the residual boxplots of
-//! Figure 1, empirical CDFs for Figure 4, and a paired t-test for the
-//! significance claims of §4.1.2. This module provides them with numerically
-//! stable (Welford) accumulation.
+//! Figure 1, empirical CDFs for Figure 4, a paired t-test for the
+//! significance claims of §4.1.2, and the MAE/MSE every method is scored
+//! by. This module provides them with numerically stable (Welford)
+//! accumulation.
 
 use crate::error::{Error, Result};
 
@@ -103,6 +104,48 @@ pub fn std_dev(xs: &[f64]) -> Result<f64> {
         w.push(x);
     }
     Ok(w.std_dev())
+}
+
+/// Mean absolute error between predictions and targets, one of the
+/// paper's two evaluation metrics (§4.1.2).
+///
+/// Returns an error on length mismatch or empty input.
+pub fn mae(pred: &[f64], target: &[f64]) -> Result<f64> {
+    check_pair(pred, target, "mae")?;
+    Ok(pred
+        .iter()
+        .zip(target)
+        .map(|(p, t)| (p - t).abs())
+        .sum::<f64>()
+        / pred.len() as f64)
+}
+
+/// Mean squared error between predictions and targets, the paper's other
+/// evaluation metric (§4.1.2).
+///
+/// Returns an error on length mismatch or empty input.
+pub fn mse(pred: &[f64], target: &[f64]) -> Result<f64> {
+    check_pair(pred, target, "mse")?;
+    Ok(pred
+        .iter()
+        .zip(target)
+        .map(|(p, t)| (p - t) * (p - t))
+        .sum::<f64>()
+        / pred.len() as f64)
+}
+
+fn check_pair(pred: &[f64], target: &[f64], op: &'static str) -> Result<()> {
+    if pred.len() != target.len() {
+        return Err(Error::ShapeMismatch {
+            op,
+            lhs: (pred.len(), 1),
+            rhs: (target.len(), 1),
+        });
+    }
+    if pred.is_empty() {
+        return Err(Error::Empty { routine: op });
+    }
+    Ok(())
 }
 
 /// Quantile with linear interpolation between order statistics.

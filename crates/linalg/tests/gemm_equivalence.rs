@@ -2,13 +2,13 @@
 //!
 //! The packed/blocked kernels behind `matmul`, `matmul_nt` and
 //! `matmul_tn` promise results **bit-identical** (`f64::to_bits`) to the
-//! textbook reference loop, for every shape and at every thread count.
-//! This suite sweeps deterministic pseudo-random matrices over ragged
-//! and prime shapes (1×1 up to sizes that cross the packing and
-//! parallel gates), injects NaN/inf and signed-zero patterns that the
-//! sparsity-skip logic must honour, and compares against a
-//! self-contained naive reference implemented here — not against any
-//! code path in the crate under test.
+//! textbook reference loop, for every shape. This suite sweeps
+//! deterministic pseudo-random matrices over ragged and prime shapes
+//! (1×1 up to sizes well past the packing gate), injects NaN/inf and
+//! signed-zero patterns that the sparsity-skip logic must honour, and
+//! compares against a self-contained naive reference implemented here —
+//! not against any code path in the crate under test. A golden checksum
+//! pins the bits of the model-shaped products.
 
 use env2vec_linalg::Matrix;
 
@@ -72,9 +72,9 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
     }
 }
 
-/// Shapes chosen to straddle every gate: tiny (naive), medium (packed,
-/// sequential), large (packed, parallel), with ragged `% 4 != 0` /
-/// `% 8 != 0` edges and prime dimensions throughout.
+/// Shapes chosen to straddle the packing gate: tiny (naive), medium and
+/// large (packed), with ragged `% 4 != 0` / `% 8 != 0` edges and prime
+/// dimensions throughout.
 fn shape_sweep() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -92,6 +92,8 @@ fn shape_sweep() -> Vec<(usize, usize, usize)> {
         (65, 67, 71),
         (100, 70, 90),
         (128, 31, 127),
+        (130, 67, 90),
+        (300, 80, 500),
     ]
 }
 
@@ -191,35 +193,56 @@ fn signed_zero_rows_match_reference_bitwise() {
     }
 }
 
-#[test]
-fn all_layouts_are_bit_identical_across_thread_counts() {
-    let mut rng = Rng(0xbeef);
-    // Big enough to cross the parallel gate, ragged on both axes.
-    let (m, k, n) = (130, 67, 90);
-    let a = rng.matrix(m, k);
-    let b_nn = rng.matrix(k, n);
-    let b_nt = rng.matrix(n, k);
-    let a_tn = rng.matrix(k, m);
-
-    let seq = env2vec_par::with_thread_limit(1, || {
-        (
-            a.matmul(&b_nn).unwrap(),
-            a.matmul_nt(&b_nt).unwrap(),
-            a_tn.matmul_tn(&b_nn).unwrap(),
-        )
-    });
-    for threads in [2, 4] {
-        let par = env2vec_par::with_thread_limit(threads, || {
-            (
-                a.matmul(&b_nn).unwrap(),
-                a.matmul_nt(&b_nt).unwrap(),
-                a_tn.matmul_tn(&b_nn).unwrap(),
-            )
-        });
-        assert_bits_eq(&par.0, &seq.0, &format!("nn {threads} threads"));
-        assert_bits_eq(&par.1, &seq.1, &format!("nt {threads} threads"));
-        assert_bits_eq(&par.2, &seq.2, &format!("tn {threads} threads"));
+/// Uniform in [-1, 1), with an exact 1/16 chance of ±0.0 so the
+/// zero-skip lane is exercised.
+fn golden_value(rng: &mut Rng) -> f64 {
+    let r = rng.next_u64();
+    if r.is_multiple_of(16) {
+        return if r & 16 == 0 { 0.0 } else { -0.0 };
     }
+    (r >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+fn fnv1a_fold(mut hash: u64, m: &Matrix) -> u64 {
+    for &x in m.as_slice() {
+        for byte in x.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The golden bits: the model's training-shaped products (batch 64 into
+/// hidden 32, the single-column head, the GRU's 8-wide products) and two
+/// packed-path squares, all three layouts folded into one FNV-1a
+/// checksum.
+#[test]
+fn training_shaped_products_match_the_golden_checksum() {
+    let mut rng = Rng(9 ^ 0x9e37_79b9_7f4a_7c15);
+    let mut checksum = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis.
+    for (m, k, n) in [
+        (64, 41, 32),
+        (64, 32, 1),
+        (64, 8, 8),
+        (128, 128, 128),
+        (256, 192, 160),
+    ] {
+        let a = Matrix::from_fn(m, k, |_, _| golden_value(&mut rng));
+        let b = Matrix::from_fn(k, n, |_, _| golden_value(&mut rng));
+        let c_nn = a.matmul(&b).unwrap();
+        let c_nt = a.matmul_nt(&b.transpose()).unwrap();
+        let c_tn = a.transpose().matmul_tn(&b).unwrap();
+        assert_bits_eq(&c_nt, &c_nn, &format!("nt {m}x{k}x{n}"));
+        assert_bits_eq(&c_tn, &c_nn, &format!("tn {m}x{k}x{n}"));
+        for c in [&c_nn, &c_nt, &c_tn] {
+            checksum = fnv1a_fold(checksum, c);
+        }
+    }
+    assert_eq!(
+        checksum, 0x3f27_5ef4_60c6_15a2,
+        "golden checksum {checksum:016x}"
+    );
 }
 
 #[test]

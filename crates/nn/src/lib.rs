@@ -19,7 +19,7 @@
 //! - [`init`]: Xavier/Glorot and He initialisers with seeded RNG.
 //! - [`optim`]: SGD and Adam (Kingma & Ba 2014) — the paper trains with
 //!   Adam on an MSE loss.
-//! - [`loss`]: MSE/MAE on graphs and on plain slices.
+//! - [`loss`]: RMSE on plain slices (MAE/MSE are `env2vec_linalg::stats`).
 //! - [`trainer`]: mini-batch shuffling and the early-stopping rule the
 //!   paper uses for regularisation (Appendix A.1).
 //!

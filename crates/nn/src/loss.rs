@@ -1,39 +1,13 @@
-//! Loss and accuracy metrics on plain slices.
+//! Loss metrics on plain slices.
 //!
-//! The graph-level MSE lives on [`crate::Graph::mse`]; these slice versions
-//! are what the evaluation harness uses to score *test-set* predictions
-//! (paper §4.1.2: "We use Mean Absolute Error and Mean Squared Error as
-//! target evaluation metrics").
+//! The graph-level MSE lives on [`crate::Graph::mse`]. The slice MAE and
+//! MSE the evaluation harness scores *test-set* predictions with (paper
+//! §4.1.2: "We use Mean Absolute Error and Mean Squared Error as target
+//! evaluation metrics") are [`env2vec_linalg::stats::mae`] and
+//! [`env2vec_linalg::stats::mse`]; this module adds the root of the latter.
 
-use env2vec_linalg::{Error, Result};
-
-/// Mean squared error between predictions and targets.
-///
-/// Returns an error on length mismatch or empty input.
-pub fn mse(pred: &[f64], target: &[f64]) -> Result<f64> {
-    check(pred, target, "mse")?;
-    let n = pred.len() as f64;
-    Ok(pred
-        .iter()
-        .zip(target)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / n)
-}
-
-/// Mean absolute error between predictions and targets.
-///
-/// Returns an error on length mismatch or empty input.
-pub fn mae(pred: &[f64], target: &[f64]) -> Result<f64> {
-    check(pred, target, "mae")?;
-    let n = pred.len() as f64;
-    Ok(pred
-        .iter()
-        .zip(target)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / n)
-}
+use env2vec_linalg::stats::mse;
+use env2vec_linalg::Result;
 
 /// Root mean squared error.
 ///
@@ -42,23 +16,10 @@ pub fn rmse(pred: &[f64], target: &[f64]) -> Result<f64> {
     Ok(mse(pred, target)?.sqrt())
 }
 
-fn check(pred: &[f64], target: &[f64], op: &'static str) -> Result<()> {
-    if pred.len() != target.len() {
-        return Err(Error::ShapeMismatch {
-            op: "loss",
-            lhs: (pred.len(), 1),
-            rhs: (target.len(), 1),
-        });
-    }
-    if pred.is_empty() {
-        return Err(Error::Empty { routine: op });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use env2vec_linalg::stats::mae;
 
     #[test]
     fn mse_and_mae_known_values() {
@@ -74,12 +35,14 @@ mod tests {
         let p = [1.0, -2.0, 0.5];
         assert_eq!(mse(&p, &p).unwrap(), 0.0);
         assert_eq!(mae(&p, &p).unwrap(), 0.0);
+        assert_eq!(rmse(&p, &p).unwrap(), 0.0);
     }
 
     #[test]
     fn errors_on_bad_input() {
         assert!(mse(&[1.0], &[1.0, 2.0]).is_err());
         assert!(mae(&[], &[]).is_err());
+        assert!(rmse(&[], &[]).is_err());
     }
 
     #[test]

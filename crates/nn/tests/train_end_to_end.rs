@@ -1,9 +1,9 @@
 //! End-to-end training tests: the engine must actually fit functions.
 
+use env2vec_linalg::stats::mse;
 use env2vec_linalg::Matrix;
 use env2vec_nn::graph::Graph;
 use env2vec_nn::layers::{Activation, Dense, Embedding, GruCell};
-use env2vec_nn::loss::mse;
 use env2vec_nn::optim::{Adam, Optimizer};
 use env2vec_nn::params::ParamSet;
 use env2vec_nn::trainer::{shuffled_batches, EarlyStopping};

@@ -17,12 +17,19 @@
 //!    order, regardless of completion order. Float addition is not
 //!    associative; fixing the association fixes the bits.
 //! 3. **Independent units.** Callers may only spawn jobs that share no
-//!    mutable state (disjoint `&mut` chunks or pure functions of explicit
-//!    seeds). The API enforces the disjointness ([`par_for_chunks`]
-//!    splits via `chunks_mut`); purity is the caller's obligation.
+//!    mutable state (disjoint outputs, or pure functions of explicit
+//!    seeds); purity is the caller's obligation.
 //!
 //! Scheduling is deliberately unobservable: which worker runs a job and
 //! in what order affects wall-clock time only.
+//!
+//! # Job grain
+//!
+//! The pool fans out whole jobs only: one model fit or one build chain
+//! in the evaluation harness, one file chunk in `envlint`, one
+//! connection in the server. The numeric kernels underneath (`linalg`,
+//! `nn`) are sequential; at the model's shapes a matrix product is
+//! cheaper than handing its row blocks to workers.
 //!
 //! # Thread-count resolution
 //!
@@ -34,8 +41,8 @@
 //!
 //! # Nesting
 //!
-//! A scope opened on a pool worker (e.g. a parallel `matmul` inside an
-//! eval job) runs its jobs inline on that worker: the pool is finite, so
+//! A scope opened on a pool worker (e.g. a `par_map` inside an eval job)
+//! runs its jobs inline on that worker: the pool is finite, so
 //! blocking a worker on jobs that need a worker can deadlock, and nested
 //! fan-out would oversubscribe the machine anyway. With `threads = 1`
 //! everything runs inline on the caller and the pool is never touched.
@@ -49,10 +56,8 @@
 //! [`scope`] on the spawning thread.
 
 mod chan;
-pub mod ingest;
 mod pool;
 
-pub use ingest::{append_batch, BatchSample};
 pub use pool::{detached_jobs, spawned_workers};
 
 use std::cell::Cell;
@@ -398,22 +403,6 @@ where
         .collect()
 }
 
-/// Mutates `data` in parallel through disjoint chunks of `chunk_len`
-/// items. `f` receives the chunk index and the chunk.
-pub fn par_for_chunks<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk = chunk_len.max(1);
-    scope(|s| {
-        for (i, block) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || f(i, block));
-        }
-    });
-}
-
 /// Maps fixed chunks of `0..len` in parallel, then folds the partial
 /// results **in ascending chunk order** on the calling thread.
 ///
@@ -460,21 +449,6 @@ mod tests {
                     x * x
                 });
                 assert_eq!(out, (0..64).map(|x| x * x).collect::<Vec<i64>>());
-            });
-        }
-    }
-
-    #[test]
-    fn par_for_chunks_writes_disjoint_blocks() {
-        for threads in [1, 4] {
-            with_thread_limit(threads, || {
-                let mut data = vec![0usize; 37];
-                par_for_chunks(&mut data, 5, |chunk_idx, block| {
-                    for (j, v) in block.iter_mut().enumerate() {
-                        *v = chunk_idx * 5 + j;
-                    }
-                });
-                assert_eq!(data, (0..37).collect::<Vec<usize>>());
             });
         }
     }

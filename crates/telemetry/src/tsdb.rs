@@ -245,9 +245,8 @@ impl TimeSeriesDb {
         self.shards.len()
     }
 
-    /// Deterministic shard index for a series identity. Batch ingest
-    /// uses this to group writes so each worker touches exactly one
-    /// shard lock.
+    /// Deterministic shard index for a series identity: every write to
+    /// the series takes this shard's lock and no other.
     pub fn shard_of(&self, metric: &str, labels: &LabelSet) -> usize {
         let mut h = fnv1a(FNV_OFFSET, metric.as_bytes());
         for (k, v) in labels.iter() {

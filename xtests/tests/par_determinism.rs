@@ -1,12 +1,11 @@
 //! Tier-1 determinism: the parallel execution layer must be
 //! numerically invisible.
 //!
-//! `env2vec-par`'s contract is that chunk boundaries and reduction order
-//! depend only on problem sizes, never on worker count. This test pins
-//! the end-to-end consequence: training one small Env2Vec model — whose
-//! hidden-layer matmuls are big enough to cross the `linalg` parallel
-//! thresholds — produces bit-identical weights and predictions with 1
-//! worker and with 4.
+//! `env2vec-par` fans out whole jobs only, and the numeric kernels under
+//! one training run are sequential, so training must never read the
+//! thread count. This test pins that: training one small Env2Vec model
+//! produces bit-identical weights and predictions with a limit of 1
+//! worker and of 4.
 
 use env2vec::config::Env2VecConfig;
 use env2vec::dataframe::Dataframe;
@@ -41,8 +40,8 @@ fn train_and_predict(dataset: &TelecomDataset) -> (String, Vec<f64>) {
     let train = Dataframe::concat(&trains).unwrap();
     let val = Dataframe::concat(&vals).unwrap();
     let mut cfg = Env2VecConfig::fast();
-    // Wide enough that the batch × features × hidden products cross
-    // MATMUL_PAR_FLOPS and actually take the row-block-parallel path.
+    // Wide enough that the batch × features × hidden products take the
+    // packed GEMM path.
     cfg.fnn_hidden = 128;
     cfg.max_epochs = 6;
     let model = train_env2vec(cfg, vocab, &train, &val).unwrap().0;
@@ -67,58 +66,5 @@ fn env2vec_training_is_bit_identical_across_thread_counts() {
             b.to_bits(),
             "prediction {i} diverged: {a} vs {b}"
         );
-    }
-}
-
-#[test]
-fn kernels_cross_parallel_thresholds_deterministically() {
-    use env2vec_linalg::Matrix;
-    // Direct guard on the linalg gates with awkward shapes (row count
-    // not divisible by the block size).
-    let a = Matrix::from_fn(100, 70, |i, j| ((i * 31 + j * 7) % 113) as f64 / 13.0 - 4.0);
-    let b = Matrix::from_fn(70, 90, |i, j| ((i * 3 + j * 41) % 127) as f64 / 11.0 - 5.0);
-    let seq = env2vec_par::with_thread_limit(1, || a.matmul(&b).unwrap());
-    let par = env2vec_par::with_thread_limit(4, || a.matmul(&b).unwrap());
-    assert_eq!(seq, par);
-
-    // The transpose-free entry points must cross the same gates with the
-    // same bits: A·Bᵀ and Aᵀ·B over shapes big enough ( >= PAR_MIN_ELEMS
-    // outputs) that 4 workers really fan out, including values with
-    // bitwise zeros so the sparsity skip runs under both schedules.
-    let bt = b.transpose();
-    let seq_nt = env2vec_par::with_thread_limit(1, || a.matmul_nt(&bt).unwrap());
-    let par_nt = env2vec_par::with_thread_limit(4, || a.matmul_nt(&bt).unwrap());
-    assert_eq!(seq_nt, par_nt);
-    assert_eq!(seq, seq_nt, "nt layout diverged from plain matmul");
-
-    let at = a.transpose();
-    let seq_tn = env2vec_par::with_thread_limit(1, || at.matmul_tn(&b).unwrap());
-    let par_tn = env2vec_par::with_thread_limit(4, || at.matmul_tn(&b).unwrap());
-    assert_eq!(seq_tn, par_tn);
-    assert_eq!(seq, seq_tn, "tn layout diverged from plain matmul");
-
-    let big_a = Matrix::from_fn(300, 80, |i, j| {
-        if (i * 80 + j) % 11 == 0 {
-            0.0
-        } else {
-            ((i * 13 + j * 29) % 101) as f64 / 9.0 - 5.0
-        }
-    });
-    let big_b = Matrix::from_fn(80, 500, |i, j| ((i * 7 + j * 3) % 97) as f64 / 7.0 - 6.0);
-    let big_bt = big_b.transpose();
-    let big_at = big_a.transpose();
-    let nn_1 = env2vec_par::with_thread_limit(1, || big_a.matmul(&big_b).unwrap());
-    let nn_4 = env2vec_par::with_thread_limit(4, || big_a.matmul(&big_b).unwrap());
-    assert_eq!(nn_1, nn_4);
-    let nt_4 = env2vec_par::with_thread_limit(4, || big_a.matmul_nt(&big_bt).unwrap());
-    let tn_4 = env2vec_par::with_thread_limit(4, || big_at.matmul_tn(&big_b).unwrap());
-    assert_eq!(nn_1, nt_4, "parallel nt diverged from sequential matmul");
-    assert_eq!(nn_1, tn_4, "parallel tn diverged from sequential matmul");
-
-    let tall = Matrix::from_fn(9000, 5, |i, j| ((i * 17 + j) % 1013) as f64 * 1e-4);
-    let means_1 = env2vec_par::with_thread_limit(1, || tall.col_means());
-    let means_4 = env2vec_par::with_thread_limit(4, || tall.col_means());
-    for (x, y) in means_1.iter().zip(&means_4) {
-        assert_eq!(x.to_bits(), y.to_bits());
     }
 }

@@ -1,11 +1,8 @@
-//! Cross-crate integration of the sharded TSDB: pooled batch ingest
-//! (`par`), self-scrape (`obs`), and the engine's configuration space
-//! must all agree bit-for-bit — the determinism contract extends from
-//! the worker pool down into storage.
+//! Cross-crate integration of the sharded TSDB: self-scrape (`obs`) and
+//! the engine's configuration space must agree bit-for-bit.
 
-use env2vec_par::{append_batch, with_thread_limit, BatchSample};
 use env2vec_telemetry::tsdb::TsdbConfig;
-use env2vec_telemetry::{LabelSet, TimeSeriesDb};
+use env2vec_telemetry::{LabelSet, Sample, TimeSeriesDb};
 
 fn fleet(series: usize) -> Vec<LabelSet> {
     (0..series)
@@ -19,30 +16,32 @@ fn fleet(series: usize) -> Vec<LabelSet> {
 
 /// Scrape-shaped workload: `ticks` rounds across the whole fleet, with
 /// a sprinkle of out-of-order rewrites near the end.
-fn ingest(db: &TimeSeriesDb, labels: &[LabelSet], ticks: i64, threads: usize) {
-    with_thread_limit(threads, || {
-        let mut batch = Vec::with_capacity(labels.len());
-        for t in 0..ticks {
-            batch.clear();
-            for (s, ls) in labels.iter().enumerate() {
-                batch.push(BatchSample::new(
-                    "cpu_usage",
-                    ls,
-                    t * 15,
-                    ((s * 13 + t as usize * 31) % 97) as f64,
-                ));
-            }
-            append_batch(db, &batch);
+fn ingest(db: &TimeSeriesDb, labels: &[LabelSet], ticks: i64) {
+    for t in 0..ticks {
+        for (s, ls) in labels.iter().enumerate() {
+            let value = ((s * 13 + t as usize * 31) % 97) as f64;
+            db.append(
+                "cpu_usage",
+                ls,
+                Sample {
+                    timestamp: t * 15,
+                    value,
+                },
+            );
         }
-        // Stragglers below the seal line for the first few series.
-        let late: Vec<BatchSample> = labels
-            .iter()
-            .take(5)
-            .enumerate()
-            .map(|(s, ls)| BatchSample::new("cpu_usage", ls, 7 * 15 + 1, s as f64 + 0.5))
-            .collect();
-        append_batch(db, &late);
-    });
+    }
+    // Stragglers below the seal line for the first few series.
+    for (s, ls) in labels.iter().take(5).enumerate() {
+        let value = s as f64 + 0.5;
+        db.append(
+            "cpu_usage",
+            ls,
+            Sample {
+                timestamp: 7 * 15 + 1,
+                value,
+            },
+        );
+    }
 }
 
 fn dump(db: &TimeSeriesDb) -> Vec<(LabelSet, Vec<(i64, u64)>)> {
@@ -58,20 +57,6 @@ fn dump(db: &TimeSeriesDb) -> Vec<(LabelSet, Vec<(i64, u64)>)> {
             )
         })
         .collect()
-}
-
-#[test]
-fn pooled_ingest_is_thread_count_invariant() {
-    let labels = fleet(60);
-    let reference = TimeSeriesDb::new();
-    ingest(&reference, &labels, 300, 1);
-    let golden = dump(&reference);
-    assert_eq!(golden.len(), 60);
-    for threads in [2, 4, 8] {
-        let db = TimeSeriesDb::new();
-        ingest(&db, &labels, 300, threads);
-        assert_eq!(dump(&db), golden, "threads={threads} diverged");
-    }
 }
 
 #[test]
@@ -93,7 +78,7 @@ fn every_engine_config_returns_identical_results() {
     let mut dumps = Vec::new();
     for config in configs {
         let db = TimeSeriesDb::with_config(config);
-        ingest(&db, &labels, 300, 4);
+        ingest(&db, &labels, 300);
         dumps.push(dump(&db));
     }
     assert_eq!(dumps[0], dumps[1], "compressed vs flat diverged");

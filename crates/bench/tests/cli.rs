@@ -70,3 +70,40 @@ fn retired_bench_flags_and_serve_are_unknown_arguments() {
         assert!(stderr.contains("usage: repro"), "{stderr}");
     }
 }
+
+#[test]
+fn report_and_metrics_out_show_the_tsdb_without_shards() {
+    let path = std::env::temp_dir().join(format!("repro-metrics-out-{}.prom", std::process::id()));
+    let out = repro(&[
+        "--fast",
+        "--metrics-out",
+        path.to_str().expect("utf-8 temp path"),
+        "table3",
+        "report",
+    ]);
+    let exposition = std::fs::read_to_string(&path);
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let section = stdout
+        .split("tsdb storage engine:\n")
+        .nth(1)
+        .expect("report has the tsdb section");
+    assert!(
+        section
+            .lines()
+            .next()
+            .is_some_and(|l| l.trim_start().starts_with("series=") && l.contains(" samples=")),
+        "{section}"
+    );
+    assert!(!section.contains("shard"), "{section}");
+    let exposition = exposition.expect("metrics file written");
+    assert!(exposition.contains("# TYPE tsdb_append_seconds histogram"));
+    assert!(exposition.contains("# TYPE tsdb_query_range_seconds histogram"));
+    assert!(!exposition.contains("tsdb_shard_"), "{exposition}");
+}

@@ -75,8 +75,8 @@ pub fn alarm_summary(alarms: &AlarmStore) -> String {
 }
 
 /// Renders the TSDB storage-engine section: totals, compression
-/// accounting, per-shard occupancy, and the engine's own
-/// append/instant/range latency quantiles.
+/// accounting, and the engine's own append/instant/range latency
+/// quantiles.
 pub fn tsdb_section(stats: &TsdbStats) -> String {
     let mut out = String::from("tsdb storage engine:\n");
     out.push_str(&format!(
@@ -94,16 +94,6 @@ pub fn tsdb_section(stats: &TsdbStats) -> String {
         stats.sealed_uncompressed_bytes,
         stats.compression_ratio(),
     ));
-    out.push_str(&format!(
-        "  {:>5} {:>8} {:>10}\n",
-        "shard", "series", "samples"
-    ));
-    for (i, shard) in stats.shards.iter().enumerate() {
-        out.push_str(&format!(
-            "  {i:>5} {:>8} {:>10}\n",
-            shard.series, shard.samples
-        ));
-    }
     out.push_str("\n  tsdb op latency quantiles (seconds):\n");
     out.push_str(&quantile_table(&env2vec_obs::tsdb::latency_samples(stats)));
     out
@@ -171,7 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn tsdb_section_reports_shards_compression_and_latency() {
+    fn tsdb_section_reports_totals_compression_and_latency() {
         use env2vec_telemetry::{Sample, TimeSeriesDb};
         let db = TimeSeriesDb::new();
         for t in 0..400i64 {
@@ -193,16 +183,6 @@ mod tests {
         assert!(text.contains("ratio="));
         assert!(text.contains("tsdb_append_seconds"));
         assert!(text.contains("tsdb_query_range_seconds"));
-        // One row per shard.
-        let shard_rows = text
-            .lines()
-            .filter(|l| {
-                l.trim_start()
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_digit())
-            })
-            .count();
-        assert!(shard_rows >= stats.num_shards);
+        assert!(!text.contains("shard"), "one map, no shard table");
     }
 }

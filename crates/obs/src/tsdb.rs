@@ -13,10 +13,10 @@ use env2vec_telemetry::tsdb::TsdbStats;
 
 use crate::metrics::{LabelSet, MetricSample, MetricValue, MetricsRegistry};
 
-/// Publishes the snapshot's counters, sizes, compression accounting, and
-/// per-shard occupancy as gauges in `registry` (names prefixed
-/// `tsdb_`). Call before each scrape so the TSDB's own health rides the
-/// same pipeline as every other metric.
+/// Publishes the snapshot's counters, sizes, and compression accounting
+/// as gauges in `registry` (names prefixed `tsdb_`). Call before each
+/// scrape so the TSDB's own health rides the same pipeline as every
+/// other metric.
 pub fn publish_stats(registry: &MetricsRegistry, stats: &TsdbStats) {
     registry.gauge("tsdb_inserts").set(stats.inserts as f64);
     registry.gauge("tsdb_queries").set(stats.queries as f64);
@@ -37,16 +37,6 @@ pub fn publish_stats(registry: &MetricsRegistry, stats: &TsdbStats) {
     registry
         .gauge("tsdb_compression_ratio")
         .set(stats.compression_ratio());
-    for (i, shard) in stats.shards.iter().enumerate() {
-        // Zero-padded so label-sorted output follows shard order.
-        let labels = LabelSet::new().with("shard", format!("{i:02}"));
-        registry
-            .gauge_with("tsdb_shard_series", labels.clone())
-            .set(shard.series as f64);
-        registry
-            .gauge_with("tsdb_shard_samples", labels)
-            .set(shard.samples as f64);
-    }
 }
 
 fn histogram_sample(name: &str, snap: &HistogramSnapshot) -> MetricSample {
@@ -106,18 +96,7 @@ mod tests {
         assert_eq!(reg.gauge("tsdb_samples").get(), 300.0);
         assert!(reg.gauge("tsdb_sealed_chunks").get() >= 1.0);
         assert!(reg.gauge("tsdb_compression_ratio").get() > 1.0);
-        // 16 default shards → 32 occupancy gauges + the 9 scalars.
-        assert_eq!(reg.len(), 9 + 2 * 16);
-        let occupied: f64 = (0..16)
-            .map(|i| {
-                reg.gauge_with(
-                    "tsdb_shard_samples",
-                    LabelSet::new().with("shard", format!("{i:02}")),
-                )
-                .get()
-            })
-            .sum();
-        assert_eq!(occupied, 300.0);
+        assert_eq!(reg.len(), 9);
     }
 
     #[test]

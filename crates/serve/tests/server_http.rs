@@ -223,6 +223,33 @@ fn error_paths_are_clean_http_statuses() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    let (server, _model, _hub) = served("edge");
+    let body = format!("{{\"env\":{}", "[".repeat(20_000));
+    let mut conn = connect(&server);
+    send_raw(
+        &mut conn,
+        format!(
+            "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .as_bytes(),
+    );
+    send_raw(&mut conn, body.as_bytes());
+    let response = conn.read_response().expect("response");
+    assert_eq!(response.status, 400);
+    assert!(
+        String::from_utf8_lossy(&response.body).contains("recursion limit exceeded"),
+        "{}",
+        String::from_utf8_lossy(&response.body)
+    );
+    let mut fresh = connect(&server);
+    let (status, body) = post_predict(&mut fresh, &request("edge", vec![row(0)]));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    server.shutdown();
+}
+
+#[test]
 fn mid_request_disconnects_leave_the_server_serviceable() {
     let (server, _model, _hub) = served("edge");
     // Drop a connection halfway through a request head...

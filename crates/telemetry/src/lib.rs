@@ -10,10 +10,9 @@
 //! same interfaces and semantics:
 //!
 //! - [`labels`]: label sets and matchers (the Prometheus data model).
-//! - [`tsdb`]: a sharded, label-indexed in-memory time-series database
-//!   with instant and range queries, safe for concurrent collectors;
-//!   closed chunks are Gorilla-compressed ([`codec`]) behind the
-//!   open-head/sealed-tail layout of [`chunk`].
+//! - [`tsdb`]: a label-indexed in-memory time-series database with
+//!   instant and range queries behind one lock; each series keeps an
+//!   open head and Gorilla-compressed ([`codec`]) sealed chunks.
 //! - [`histogram`]: the workspace's one latency histogram, used by the
 //!   TSDB's self-instrumentation and re-exported by `env2vec-obs`.
 //! - [`discovery`]: scrape-target records carrying the `env` label,
@@ -26,7 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod alarms;
-pub mod chunk;
+mod chunk;
 pub mod codec;
 pub mod discovery;
 pub mod histogram;
@@ -37,4 +36,4 @@ pub mod tsdb;
 
 pub use alarms::{Alarm, AlarmStore};
 pub use labels::{LabelMatcher, LabelSet};
-pub use tsdb::{Sample, TimeSeriesDb, TsdbConfig, TsdbStats};
+pub use tsdb::{Sample, TimeSeriesDb, TsdbStats};

@@ -2,7 +2,7 @@
 //!
 //! [`TrackedMutex`] / [`TrackedRwLock`] are the workspace's standard
 //! locks for concurrent subsystems (`par`'s channel and scope state, the
-//! TSDB shards, the alarm store, the `obs` span and metrics registries,
+//! TSDB map, the alarm store, the `obs` span and metrics registries,
 //! histogram exemplar slots). They come in two builds, switched by the
 //! `lock-sanitizer` cargo feature:
 //!

@@ -1,4 +1,4 @@
-//! Sharded, compressed, label-indexed in-memory time-series database.
+//! Compressed, label-indexed in-memory time-series database.
 //!
 //! The Prometheus stand-in: series are keyed by metric name plus label
 //! set, samples are `(timestamp, value)` pairs kept in time order, and
@@ -7,35 +7,31 @@
 //! metric collector and the prediction pipeline, mirroring the paper's
 //! workflow where both sides talk to the same Prometheus.
 //!
-//! At fleet scale ("millions of samples, 100k testbeds") a single locked
-//! map stops being a database and starts being a queue, so storage is
-//! organised for sustained concurrent ingest:
-//!
-//! - **Sharding.** Series are distributed over [`TsdbConfig::num_shards`]
-//!   independently-locked shards by an FNV-1a hash of `(metric, labels)`
-//!   — a fixed hash function, so shard assignment is deterministic across
-//!   processes (no per-process `RandomState`). Within a shard, series
-//!   live in a `BTreeMap`; cross-shard query results are merged and
-//!   sorted by key, so every public result is in `(metric, labels)` order
-//!   regardless of shard count (envlint `hash-iter`-clean).
-//! - **Compression.** Each series is a [`crate::chunk::SeriesStore`]: an
-//!   open head plus Gorilla-compressed sealed chunks
-//!   ([`crate::codec`]). Decode is exact to the bit, so turning
-//!   compression off ([`TsdbConfig::compress`]) changes memory use, never
-//!   results.
-//! - **Self-observation.** Sample/series counts are maintained by
-//!   per-shard atomics on the write path (`stats()` never walks samples),
-//!   out-of-order writes that force a sealed-chunk rewrite are counted,
-//!   and append/instant/range latencies land in the workspace's shared
-//!   [`Histogram`], exported as snapshots through [`TsdbStats`].
+//! - **Layout.** One lock over one `metric → label set → series` map.
+//!   A query reads only its metric's inner map, and the nested
+//!   `BTreeMap`s yield every result in `(metric, labels)` order by
+//!   construction (envlint `hash-iter`-clean).
+//! - **Compression.** Each series is an open head plus Gorilla-compressed
+//!   sealed chunks ([`crate::codec`]); the head seals once it holds 256
+//!   samples. Decode is exact to the bit, so sealing changes memory use,
+//!   never results.
+//! - **Self-observation.** The sample count is maintained on the write
+//!   path (`num_samples()` never walks samples), out-of-order writes that
+//!   force a sealed-chunk rewrite are counted, and append/instant/range
+//!   latencies land in the workspace's shared [`Histogram`], exported as
+//!   snapshots through [`TsdbStats`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::chunk::SeriesStore;
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::labels::{LabelMatcher, LabelSet};
 use crate::locks::TrackedRwLock;
+
+/// Head size (samples) at which a series' open chunk is sealed and
+/// compressed.
+const SEAL_AFTER: usize = 256;
 
 /// One observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,13 +40,6 @@ pub struct Sample {
     pub timestamp: i64,
     /// Observed value.
     pub value: f64,
-}
-
-/// Identity of one series.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct SeriesKey {
-    metric: String,
-    labels: LabelSet,
 }
 
 /// A queryable series (metric, labels, samples).
@@ -64,43 +53,10 @@ pub struct Series {
     pub samples: Vec<Sample>,
 }
 
-/// Storage policy for one database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsdbConfig {
-    /// Number of independently-locked shards (clamped to at least 1).
-    pub num_shards: usize,
-    /// Head size (samples) at which a series' open chunk is sealed and
-    /// compressed.
-    pub seal_after: usize,
-    /// Whether to seal at all. `false` keeps every series as a flat
-    /// vector — the uncompressed reference configuration used by the
-    /// golden tests.
-    pub compress: bool,
-}
-
-impl Default for TsdbConfig {
-    fn default() -> Self {
-        TsdbConfig {
-            num_shards: 16,
-            seal_after: 256,
-            compress: true,
-        }
-    }
-}
-
 /// Starts a latency measurement.
 fn start_timer() -> std::time::Instant {
     // envlint: allow(wall-clock) — self-instrumentation only: the reading feeds latency metrics and never influences stored samples or query results.
     std::time::Instant::now()
-}
-
-/// Occupancy of one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Distinct series in the shard.
-    pub series: usize,
-    /// Samples in the shard.
-    pub samples: u64,
 }
 
 /// Point-in-time operation counts, sizes, and self-instrumentation for
@@ -109,7 +65,7 @@ pub struct ShardStats {
 pub struct TsdbStats {
     /// Samples inserted since creation.
     pub inserts: u64,
-    /// Queries served since creation (instant, range, and step).
+    /// Queries served since creation (instant and range).
     pub queries: u64,
     /// Writes that landed inside sealed (compressed) territory and
     /// forced a decode/splice/re-seal cycle — misordered scraper traffic
@@ -117,25 +73,20 @@ pub struct TsdbStats {
     pub out_of_order_inserts: u64,
     /// Current number of distinct series.
     pub num_series: usize,
-    /// Current total number of samples (maintained by write-path
-    /// counters, O(shards) to read).
+    /// Current total number of samples (a write-path counter, O(1) to
+    /// read).
     pub num_samples: usize,
-    /// Shard count of the database.
-    pub num_shards: usize,
     /// Sealed (compressed) chunks across all series.
     pub sealed_chunks: usize,
     /// Bytes the sealed chunks occupy compressed.
     pub sealed_bytes: usize,
     /// Bytes the same sealed samples would occupy uncompressed.
     pub sealed_uncompressed_bytes: usize,
-    /// Per-shard occupancy, indexed by shard id.
-    pub shards: Vec<ShardStats>,
     /// Append-path latency distribution, in seconds.
     pub append_latency: HistogramSnapshot,
     /// Instant-query latency distribution, in seconds.
     pub instant_latency: HistogramSnapshot,
-    /// Range-query latency distribution (range and step queries), in
-    /// seconds.
+    /// Range-query latency distribution, in seconds.
     pub range_latency: HistogramSnapshot,
 }
 
@@ -151,39 +102,20 @@ impl TsdbStats {
     }
 }
 
-/// One lock domain: a slice of the keyspace plus its write-path counter.
-#[derive(Debug)]
-struct Shard {
-    series: TrackedRwLock<BTreeMap<SeriesKey, SeriesStore>>,
-    /// Samples currently stored in this shard, maintained on the write
-    /// path so `num_samples` never walks the data.
-    samples: AtomicU64,
-}
+/// Every series: metric name → label set → storage.
+type SeriesMap = BTreeMap<String, BTreeMap<LabelSet, SeriesStore>>;
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            // All shards share one sanitizer name; cycle detection runs
-            // on per-instance ids, so cross-shard nesting is still
-            // caught — the name only labels the report.
-            series: TrackedRwLock::new("telemetry.tsdb.shard.series", BTreeMap::new()),
-            samples: AtomicU64::new(0),
-        }
-    }
-}
-
-/// An in-memory TSDB safe for concurrent writers and readers.
+/// An in-memory TSDB shareable between writers and readers.
 ///
 /// See the module docs for the storage layout. All query results are
-/// ordered by `(metric, labels)` independent of shard count, and decode
-/// of compressed chunks is bit-exact, so results are identical across
-/// any `TsdbConfig`.
+/// ordered by `(metric, labels)`, and decode of compressed chunks is
+/// bit-exact.
 #[derive(Debug)]
 pub struct TimeSeriesDb {
-    config: TsdbConfig,
-    shards: Vec<Shard>,
+    series: TrackedRwLock<SeriesMap>,
     /// Operation tallies kept as plain atomics so reading them never
-    /// contends with the data locks.
+    /// takes the data lock. `samples` is the number currently stored.
+    samples: AtomicU64,
     inserts: AtomicU64,
     queries: AtomicU64,
     out_of_order: AtomicU64,
@@ -194,38 +126,9 @@ pub struct TimeSeriesDb {
 
 impl Default for TimeSeriesDb {
     fn default() -> Self {
-        Self::with_config(TsdbConfig::default())
-    }
-}
-
-/// FNV-1a 64-bit step over a byte string.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-impl TimeSeriesDb {
-    /// Creates an empty database with the default config (16 shards,
-    /// compression on, seal at 256 samples).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty database with an explicit storage policy.
-    pub fn with_config(config: TsdbConfig) -> Self {
-        let config = TsdbConfig {
-            num_shards: config.num_shards.max(1),
-            ..config
-        };
         TimeSeriesDb {
-            shards: (0..config.num_shards).map(|_| Shard::new()).collect(),
-            config,
+            series: TrackedRwLock::new("telemetry.tsdb.series", BTreeMap::new()),
+            samples: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             out_of_order: AtomicU64::new(0),
@@ -234,37 +137,29 @@ impl TimeSeriesDb {
             range_latency: Histogram::durations(),
         }
     }
+}
 
-    /// The database's storage policy.
-    pub fn config(&self) -> &TsdbConfig {
-        &self.config
+impl TimeSeriesDb {
+    /// Creates an empty database.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deterministic shard index for a series identity: every write to
-    /// the series takes this shard's lock and no other.
-    pub fn shard_of(&self, metric: &str, labels: &LabelSet) -> usize {
-        let mut h = fnv1a(FNV_OFFSET, metric.as_bytes());
-        for (k, v) in labels.iter() {
-            h = fnv1a(h, &[0xff]);
-            h = fnv1a(h, k.as_bytes());
-            h = fnv1a(h, &[0xfe]);
-            h = fnv1a(h, v.as_bytes());
-        }
-        (h % self.shards.len() as u64) as usize
-    }
-
-    /// Seal policy handed to the chunk layer on each write.
-    fn seal_limit(&self) -> Option<usize> {
-        if self.config.compress {
-            Some(self.config.seal_after.max(1))
-        } else {
-            None
-        }
+    /// Runs `f` on the series `(metric, labels)` under the write lock,
+    /// creating the series first if needed.
+    fn write<R>(
+        &self,
+        metric: &str,
+        labels: &LabelSet,
+        f: impl FnOnce(&mut SeriesStore) -> R,
+    ) -> R {
+        let mut map = self.series.write();
+        let store = map
+            .entry(metric.to_string())
+            .or_default()
+            .entry(labels.clone())
+            .or_default();
+        f(store)
     }
 
     /// Appends a sample to the series `(metric, labels)`, creating it on
@@ -272,23 +167,7 @@ impl TimeSeriesDb {
     /// is kept sorted by timestamp (a duplicate timestamp lands after
     /// its equals).
     pub fn append(&self, metric: &str, labels: &LabelSet, sample: Sample) {
-        let timer = start_timer();
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(metric, labels)];
-        let outcome = {
-            let mut map = shard.series.write();
-            map.entry(SeriesKey {
-                metric: metric.to_string(),
-                labels: labels.clone(),
-            })
-            .or_default()
-            .append(sample, self.seal_limit())
-        };
-        shard.samples.fetch_add(1, Ordering::Relaxed);
-        if outcome.rewrote_sealed {
-            self.out_of_order.fetch_add(1, Ordering::Relaxed);
-        }
-        self.append_latency.observe(timer.elapsed().as_secs_f64());
+        self.append_series(metric, labels, &[sample]);
     }
 
     /// Like [`TimeSeriesDb::append`], but if the series already holds a
@@ -299,18 +178,9 @@ impl TimeSeriesDb {
     pub fn upsert(&self, metric: &str, labels: &LabelSet, sample: Sample) {
         let timer = start_timer();
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(metric, labels)];
-        let outcome = {
-            let mut map = shard.series.write();
-            map.entry(SeriesKey {
-                metric: metric.to_string(),
-                labels: labels.clone(),
-            })
-            .or_default()
-            .upsert(sample, self.seal_limit())
-        };
+        let outcome = self.write(metric, labels, |store| store.upsert(sample, SEAL_AFTER));
         if outcome.inserted {
-            shard.samples.fetch_add(1, Ordering::Relaxed);
+            self.samples.fetch_add(1, Ordering::Relaxed);
         }
         if outcome.rewrote_sealed {
             self.out_of_order.fetch_add(1, Ordering::Relaxed);
@@ -318,34 +188,25 @@ impl TimeSeriesDb {
         self.append_latency.observe(timer.elapsed().as_secs_f64());
     }
 
-    /// Appends a whole vector of samples (already time-ordered) at once,
-    /// taking the shard lock once for the batch.
+    /// Appends a whole vector of samples at once, taking the lock once
+    /// for the batch.
     pub fn append_series(&self, metric: &str, labels: &LabelSet, samples: &[Sample]) {
         if samples.is_empty() {
             return;
         }
         let timer = start_timer();
-        self.inserts
-            .fetch_add(samples.len() as u64, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(metric, labels)];
-        let mut rewrote = 0u64;
-        {
-            let mut map = shard.series.write();
-            let store = map
-                .entry(SeriesKey {
-                    metric: metric.to_string(),
-                    labels: labels.clone(),
-                })
-                .or_default();
+        let count = samples.len() as u64;
+        self.inserts.fetch_add(count, Ordering::Relaxed);
+        let rewrote = self.write(metric, labels, |store| {
+            let mut rewrote = 0u64;
             for &s in samples {
-                if store.append(s, self.seal_limit()).rewrote_sealed {
+                if store.append(s, SEAL_AFTER).rewrote_sealed {
                     rewrote += 1;
                 }
             }
-        }
-        shard
-            .samples
-            .fetch_add(samples.len() as u64, Ordering::Relaxed);
+            rewrote
+        });
+        self.samples.fetch_add(count, Ordering::Relaxed);
         if rewrote > 0 {
             self.out_of_order.fetch_add(rewrote, Ordering::Relaxed);
         }
@@ -354,16 +215,30 @@ impl TimeSeriesDb {
 
     /// Number of distinct series.
     pub fn num_series(&self) -> usize {
-        self.shards.iter().map(|s| s.series.read().len()).sum()
+        self.series.read().values().map(BTreeMap::len).sum()
     }
 
-    /// Total number of samples across all series. O(shards): read from
-    /// the write-path counters, never by walking the data.
+    /// Total number of samples across all series. O(1): read from the
+    /// write-path counter, never by walking the data.
     pub fn num_samples(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.samples.load(Ordering::Relaxed) as usize)
-            .sum()
+        self.samples.load(Ordering::Relaxed) as usize
+    }
+
+    /// `f` over every series of `metric` whose labels satisfy
+    /// `matchers`, in label order, keeping the `Some` results.
+    fn select<T>(
+        &self,
+        metric: &str,
+        matchers: &[LabelMatcher],
+        mut f: impl FnMut(&LabelSet, &SeriesStore) -> Option<T>,
+    ) -> Vec<T> {
+        let map = self.series.read();
+        map.get(metric)
+            .into_iter()
+            .flatten()
+            .filter(|(labels, _)| labels.matches(matchers))
+            .filter_map(|(labels, store)| f(labels, store))
+            .collect()
     }
 
     /// Instant query: for every matching series, the latest sample at or
@@ -376,27 +251,15 @@ impl TimeSeriesDb {
     ) -> Vec<(LabelSet, Sample)> {
         let timer = start_timer();
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for (key, store) in map.iter() {
-                if key.metric != metric || !key.labels.matches(matchers) {
-                    continue;
-                }
-                if let Some(s) = store.latest_at_or_before(at) {
-                    out.push((key.labels.clone(), s));
-                }
-            }
-        }
-        // Shards interleave the keyspace; restore (metric, labels) order
-        // so results are independent of shard count.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        let out = self.select(metric, matchers, |labels, store| {
+            store.latest_at_or_before(at).map(|s| (labels.clone(), s))
+        });
         self.instant_latency.observe(timer.elapsed().as_secs_f64());
         out
     }
 
     /// Range query: for every matching series, the samples with
-    /// `start <= timestamp <= end`, in `(metric, labels)` order.
+    /// `start <= timestamp <= end`, in label order.
     pub fn query_range(
         &self,
         metric: &str,
@@ -406,174 +269,57 @@ impl TimeSeriesDb {
     ) -> Vec<Series> {
         let timer = start_timer();
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for (key, store) in map.iter() {
-                if key.metric != metric || !key.labels.matches(matchers) {
-                    continue;
-                }
-                let samples = store.samples_between(start, end);
-                if !samples.is_empty() {
-                    out.push(Series {
-                        metric: key.metric.clone(),
-                        labels: key.labels.clone(),
-                        samples,
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| a.labels.cmp(&b.labels));
+        let out = self.select(metric, matchers, |labels, store| {
+            let samples = store.samples_between(start, end);
+            (!samples.is_empty()).then(|| Series {
+                metric: metric.to_string(),
+                labels: labels.clone(),
+                samples,
+            })
+        });
         self.range_latency.observe(timer.elapsed().as_secs_f64());
         out
-    }
-
-    /// Step-aligned range query (Prometheus-style): for every matching
-    /// series, one sample per aligned timestamp `start, start+step, …, ≤
-    /// end`, each carrying the latest raw value at or before that instant.
-    /// Aligned points before a series' first sample are omitted.
-    ///
-    /// Downsampling queries like this are how dashboards read a
-    /// 15-minute-cadence metric at, say, 1-hour resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `step` is zero.
-    pub fn query_range_step(
-        &self,
-        metric: &str,
-        matchers: &[LabelMatcher],
-        start: i64,
-        end: i64,
-        step: i64,
-    ) -> Vec<Series> {
-        assert!(step > 0, "step must be positive");
-        let timer = start_timer();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for (key, store) in map.iter() {
-                if key.metric != metric || !key.labels.matches(matchers) {
-                    continue;
-                }
-                let samples = store.all_samples();
-                let mut points = Vec::new();
-                let mut t = start;
-                while t <= end {
-                    let idx = samples.partition_point(|s| s.timestamp <= t);
-                    if idx > 0 {
-                        points.push(Sample {
-                            timestamp: t,
-                            value: samples[idx - 1].value,
-                        });
-                    }
-                    t += step;
-                }
-                if !points.is_empty() {
-                    out.push(Series {
-                        metric: key.metric.clone(),
-                        labels: key.labels.clone(),
-                        samples: points,
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| a.labels.cmp(&b.labels));
-        self.range_latency.observe(timer.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Applies a retention policy: drops every sample with
-    /// `timestamp < cutoff` and removes series left empty. Sealed chunks
-    /// wholly below the cutoff are discarded without decoding. Returns
-    /// the number of samples dropped.
-    pub fn retain_from(&self, cutoff: i64) -> usize {
-        let mut total = 0usize;
-        for shard in &self.shards {
-            let mut map = shard.series.write();
-            let mut dropped = 0usize;
-            map.retain(|_, store| {
-                dropped += store.retain_from(cutoff);
-                !store.is_empty()
-            });
-            shard.samples.fetch_sub(dropped as u64, Ordering::Relaxed);
-            total += dropped;
-        }
-        total
     }
 
     /// Operation counts, sizes, compression accounting, and latency
     /// distributions, for the observability layer's `tsdb_*` metrics.
     ///
-    /// Counter reads are O(shards); the sealed-chunk accounting walks
-    /// series headers (never samples), O(num_series).
+    /// Counter reads are O(1); the sealed-chunk accounting walks series
+    /// headers (never samples), O(num_series).
     pub fn stats(&self) -> TsdbStats {
-        let mut shards = Vec::with_capacity(self.shards.len());
+        let mut num_series = 0;
         let mut sealed_chunks = 0;
         let mut sealed_bytes = 0;
         let mut sealed_uncompressed_bytes = 0;
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for store in map.values() {
-                sealed_chunks += store.sealed_chunks();
-                sealed_bytes += store.compressed_bytes();
-                sealed_uncompressed_bytes += store.sealed_uncompressed_bytes();
-            }
-            shards.push(ShardStats {
-                series: map.len(),
-                samples: shard.samples.load(Ordering::Relaxed),
-            });
+        for store in self.series.read().values().flat_map(BTreeMap::values) {
+            num_series += 1;
+            sealed_chunks += store.sealed_chunks();
+            sealed_bytes += store.compressed_bytes();
+            sealed_uncompressed_bytes += store.sealed_uncompressed_bytes();
         }
         TsdbStats {
             inserts: self.inserts.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             out_of_order_inserts: self.out_of_order.load(Ordering::Relaxed),
-            num_series: shards.iter().map(|s| s.series).sum(),
-            num_samples: shards.iter().map(|s| s.samples as usize).sum(),
-            num_shards: self.shards.len(),
+            num_series,
+            num_samples: self.num_samples(),
             sealed_chunks,
             sealed_bytes,
             sealed_uncompressed_bytes,
-            shards,
             append_latency: self.append_latency.snapshot(),
             instant_latency: self.instant_latency.snapshot(),
             range_latency: self.range_latency.snapshot(),
         }
     }
 
-    /// All metric names currently stored, sorted and deduplicated.
+    /// All metric names currently stored, sorted.
     pub fn metric_names(&self) -> Vec<String> {
-        let mut names = BTreeSet::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for key in map.keys() {
-                if !names.contains(&key.metric) {
-                    names.insert(key.metric.clone());
-                }
-            }
-        }
-        names.into_iter().collect()
-    }
-
-    /// All label sets for a metric, sorted.
-    pub fn series_for(&self, metric: &str) -> Vec<LabelSet> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            out.extend(
-                map.keys()
-                    .filter(|k| k.metric == metric)
-                    .map(|k| k.labels.clone()),
-            );
-        }
-        out.sort();
-        out
+        self.series.read().keys().cloned().collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn env(id: &str) -> LabelSet {
@@ -617,7 +363,6 @@ mod tests {
         assert_eq!(db.num_series(), 3);
         assert_eq!(db.num_samples(), 21);
         assert_eq!(db.metric_names(), vec!["cpu_usage", "mem_usage"]);
-        assert_eq!(db.series_for("cpu_usage").len(), 2);
     }
 
     #[test]
@@ -653,18 +398,13 @@ mod tests {
         assert_eq!(s.num_series, 3);
         assert_eq!(s.num_samples, 21);
         assert_eq!(s.out_of_order_inserts, 0);
-        assert_eq!(s.num_shards, 16);
-        assert_eq!(s.shards.len(), 16);
-        assert_eq!(s.shards.iter().map(|sh| sh.series).sum::<usize>(), 3);
-        assert_eq!(s.shards.iter().map(|sh| sh.samples).sum::<u64>(), 21);
         assert_eq!(s.append_latency.count, 21, "every append is timed");
         db.query_instant("cpu_usage", &[], 5);
         db.query_range("cpu_usage", &[], 0, 9);
-        db.query_range_step("cpu_usage", &[], 0, 9, 2);
         let s = db.stats();
-        assert_eq!(s.queries, 3);
+        assert_eq!(s.queries, 2);
         assert_eq!(s.instant_latency.count, 1);
-        assert_eq!(s.range_latency.count, 2, "range + step queries");
+        assert_eq!(s.range_latency.count, 1);
     }
 
     #[test]
@@ -706,61 +446,20 @@ mod tests {
         );
         assert_eq!(not1.len(), 1);
         assert_eq!(not1[0].labels.get("env"), Some("EM_2"));
-    }
-
-    #[test]
-    fn step_query_downsamples_and_carries_last_value() {
-        let db = filled_db();
-        // cpu_usage for EM_1 has samples at t = 0..9, value = 10 t.
-        let res = db.query_range_step("cpu_usage", &[LabelMatcher::eq("env", "EM_1")], 0, 9, 3);
-        assert_eq!(res.len(), 1);
-        let pts: Vec<(i64, f64)> = res[0]
-            .samples
-            .iter()
-            .map(|s| (s.timestamp, s.value))
-            .collect();
-        assert_eq!(pts, vec![(0, 0.0), (3, 30.0), (6, 60.0), (9, 90.0)]);
-        // Aligned instants past the data carry the last value forward…
-        let res = db.query_range_step("cpu_usage", &[LabelMatcher::eq("env", "EM_1")], 8, 20, 5);
-        let pts: Vec<(i64, f64)> = res[0]
-            .samples
-            .iter()
-            .map(|s| (s.timestamp, s.value))
-            .collect();
-        assert_eq!(pts, vec![(8, 80.0), (13, 90.0), (18, 90.0)]);
-        // …and instants before the first sample are omitted (here the
-        // aligned instants are -5 and 0; only t = 0 has data).
-        let res = db.query_range_step("cpu_usage", &[LabelMatcher::eq("env", "EM_1")], -5, 4, 5);
-        let pts: Vec<(i64, f64)> = res[0]
-            .samples
-            .iter()
-            .map(|s| (s.timestamp, s.value))
-            .collect();
-        assert_eq!(pts, vec![(0, 0.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "step must be positive")]
-    fn step_query_rejects_zero_step() {
-        let db = filled_db();
-        db.query_range_step("cpu_usage", &[], 0, 10, 0);
-    }
-
-    #[test]
-    fn retention_drops_old_samples_and_empty_series() {
-        let db = filled_db();
-        assert_eq!(db.num_samples(), 21);
-        // mem_usage only has a sample at t = 5; cutting at 6 removes it.
-        let dropped = db.retain_from(6);
-        assert_eq!(dropped, 2 * 6 + 1);
-        assert_eq!(db.num_samples(), 8);
-        assert_eq!(db.metric_names(), vec!["cpu_usage"]);
-        // Remaining samples all survive the cutoff.
-        for s in db.query_range("cpu_usage", &[], i64::MIN, i64::MAX) {
-            assert!(s.samples.iter().all(|x| x.timestamp >= 6));
+        // A metric name never selects another that it is a prefix of.
+        let one = Sample {
+            timestamp: 0,
+            value: 1.0,
+        };
+        db.append("cf_a", &env("EM_A"), one);
+        db.append("cf_ab", &env("EM_AB"), one);
+        for (metric, only) in [("cf_a", "EM_A"), ("cf_ab", "EM_AB")] {
+            let got = db.query_range(metric, &[], 0, 0);
+            assert_eq!(got.len(), 1, "{metric}");
+            assert_eq!(got[0].metric, metric);
+            assert_eq!(got[0].labels.get("env"), Some(only));
+            assert_eq!(db.query_instant(metric, &[], 0).len(), 1, "{metric}");
         }
-        // Idempotent at the same cutoff.
-        assert_eq!(db.retain_from(6), 0);
     }
 
     #[test]
@@ -822,16 +521,15 @@ mod tests {
         assert_eq!(db.num_series(), 4);
     }
 
-    /// Fills a database with a deterministic mixed workload.
-    fn mixed_workload(db: &TimeSeriesDb) {
+    /// A deterministic mixed workload: 40 series of 600 quantized
+    /// samples each, written series by series, then one late write at
+    /// t=37 into each of the first ten. `write` receives the series
+    /// index with each sample.
+    pub(crate) fn mixed_workload(mut write: impl FnMut(usize, Sample)) {
         for series in 0..40 {
-            let labels = LabelSet::new()
-                .with("env", format!("EM_{series}"))
-                .with("testbed", format!("Testbed_{}", series % 7));
             for t in 0..600i64 {
-                db.append(
-                    "cpu_usage",
-                    &labels,
+                write(
+                    series,
                     Sample {
                         timestamp: t * 15,
                         value: ((series * 31 + t as usize * 7) % 100) as f64,
@@ -841,12 +539,8 @@ mod tests {
         }
         // Late, misordered traffic into sealed territory.
         for series in 0..10 {
-            let labels = LabelSet::new()
-                .with("env", format!("EM_{series}"))
-                .with("testbed", format!("Testbed_{}", series % 7));
-            db.append(
-                "cpu_usage",
-                &labels,
+            write(
+                series,
                 Sample {
                     timestamp: 37,
                     value: 999.0,
@@ -856,99 +550,20 @@ mod tests {
     }
 
     #[test]
-    fn results_identical_across_shard_counts_and_compression() {
-        let configs = [
-            TsdbConfig::default(),
-            TsdbConfig {
-                num_shards: 1,
-                seal_after: 64,
-                compress: true,
-            },
-            TsdbConfig {
-                num_shards: 5,
-                seal_after: 256,
-                compress: false,
-            },
-        ];
-        let dbs: Vec<TimeSeriesDb> = configs
-            .iter()
-            .map(|&c| {
-                let db = TimeSeriesDb::with_config(c);
-                mixed_workload(&db);
-                db
-            })
-            .collect();
-        let reference = &dbs[0];
-        for db in &dbs[1..] {
-            for (a, b) in reference
-                .query_range("cpu_usage", &[], i64::MIN, i64::MAX)
-                .iter()
-                .zip(&db.query_range("cpu_usage", &[], i64::MIN, i64::MAX))
-            {
-                assert_eq!(a.labels, b.labels, "series order must match");
-                assert_eq!(a.samples.len(), b.samples.len());
-                for (x, y) in a.samples.iter().zip(&b.samples) {
-                    assert_eq!(x.timestamp, y.timestamp);
-                    assert_eq!(x.value.to_bits(), y.value.to_bits());
-                }
-            }
-            assert_eq!(
-                reference.query_instant("cpu_usage", &[], 5000).len(),
-                db.query_instant("cpu_usage", &[], 5000).len()
-            );
-        }
-    }
-
-    #[test]
     fn compression_accounting_and_out_of_order_counter() {
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            num_shards: 4,
-            seal_after: 100,
-            compress: true,
+        let db = TimeSeriesDb::new();
+        mixed_workload(|series, sample| {
+            let labels = LabelSet::new()
+                .with("env", format!("EM_{series}"))
+                .with("testbed", format!("Testbed_{}", series % 7));
+            db.append("cpu_usage", &labels, sample);
         });
-        mixed_workload(&db);
         let stats = db.stats();
         assert!(stats.sealed_chunks > 0, "600-sample series must seal");
-        assert!(
-            stats.compression_ratio() >= 5.0,
-            "quantized telemetry must compress at least 5x, got {:.2}",
-            stats.compression_ratio()
-        );
         assert_eq!(
             stats.out_of_order_inserts, 10,
             "late writes into sealed chunks are counted"
         );
         assert_eq!(stats.num_samples, 40 * 600 + 10);
-        // The uncompressed config never seals and never counts.
-        let flat = TimeSeriesDb::with_config(TsdbConfig {
-            num_shards: 4,
-            seal_after: 100,
-            compress: false,
-        });
-        mixed_workload(&flat);
-        let fstats = flat.stats();
-        assert_eq!(fstats.sealed_chunks, 0);
-        assert_eq!(fstats.sealed_bytes, 0);
-        assert_eq!(fstats.out_of_order_inserts, 0);
-        assert_eq!(fstats.compression_ratio(), 1.0);
-    }
-
-    #[test]
-    fn shard_assignment_is_deterministic_and_spread() {
-        let db = TimeSeriesDb::new();
-        let mut used = BTreeSet::new();
-        for i in 0..64 {
-            let labels = env(&format!("EM_{i}"));
-            let a = db.shard_of("cpu_usage", &labels);
-            let b = db.shard_of("cpu_usage", &labels);
-            assert_eq!(a, b);
-            assert!(a < db.num_shards());
-            used.insert(a);
-        }
-        assert!(
-            used.len() > db.num_shards() / 2,
-            "64 series should touch most of 16 shards, got {}",
-            used.len()
-        );
     }
 }

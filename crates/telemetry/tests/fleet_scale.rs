@@ -1,7 +1,6 @@
-//! Fleet-scale golden regression: the sharded, compressed engine must
-//! return bit-identical query results to a naive uncompressed reference
-//! at the ROADMAP's working scale — 10k series × 1k samples (10M
-//! samples), generated with `datagen`'s stochastic-process helpers so
+//! Fleet-scale golden regression: the compressed engine must return
+//! bit-identical query results to a naive uncompressed reference at
+//! 10k series × 1k samples (10M samples), generated with `datagen`'s stochastic-process helpers so
 //! values are full-precision floats (the XOR codec's hardest case, not
 //! its friendliest).
 //!
@@ -20,8 +19,8 @@ const SAMPLES_PER_SERIES: usize = 1_000;
 /// Scrape stride in logical time units.
 const STRIDE: i64 = 30;
 
-/// The pre-shard storage model: label set + sorted `Vec<Sample>`, one
-/// entry per series, matchers applied by linear scan.
+/// The uncompressed storage model: label set + sorted `Vec<Sample>`,
+/// one entry per series, matchers applied by linear scan.
 struct NaiveDb {
     series: Vec<(LabelSet, Vec<Sample>)>,
 }
@@ -130,9 +129,8 @@ fn fleet_scale_matches_naive_reference() {
     let labels = fleet_labels();
     let diurnal = process::diurnal(SAMPLES_PER_SERIES, 5.0, 0.0);
 
-    // Default config: 16 shards, compression on — 10M samples seal
-    // roughly 3 chunks per series, so most data is read back through
-    // the codec.
+    // Heads seal at 256 samples, so 10M samples seal roughly 3 chunks
+    // per series and most data is read back through the codec.
     let db = TimeSeriesDb::new();
     let mut naive = NaiveDb::new();
     for (i, ls) in labels.iter().enumerate() {

@@ -4,7 +4,7 @@ use env2vec_telemetry::alarms::{AlarmStore, NewAlarm};
 use env2vec_telemetry::codec;
 use env2vec_telemetry::discovery::{ScrapeTarget, ServiceDiscovery};
 use env2vec_telemetry::labels::{LabelMatcher, LabelSet};
-use env2vec_telemetry::tsdb::{Sample, TimeSeriesDb, TsdbConfig};
+use env2vec_telemetry::tsdb::{Sample, TimeSeriesDb};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,37 +31,39 @@ proptest! {
         }
     }
 
-    /// Sealing/compression never changes what queries return: the same
-    /// writes into a compressed and an uncompressed database yield
-    /// bit-identical range results, whatever the shard count.
+    /// Sealing/compression never changes what queries return: the
+    /// database's range results equal, bit for bit, those of one sorted
+    /// `Vec` fed the same writes. Enough samples arrive that heads seal
+    /// at 256 and later writes splice into sealed chunks.
     #[test]
     fn compressed_db_matches_uncompressed(
-        raw in proptest::collection::vec((0i64..2000, u64::MIN..=u64::MAX), 1..400),
-        num_shards in 1usize..8,
+        raw in proptest::collection::vec((0i64..4000, u64::MIN..=u64::MAX), 300..1500),
+        window in (0i64..4000, 0i64..4000),
     ) {
-        let compressed = TimeSeriesDb::with_config(TsdbConfig {
-            num_shards,
-            seal_after: 32,
-            compress: true,
-        });
-        let flat = TimeSeriesDb::with_config(TsdbConfig {
-            num_shards: 1,
-            compress: false,
-            ..TsdbConfig::default()
-        });
+        let db = TimeSeriesDb::new();
         let labels = LabelSet::new().with("env", "E");
+        let mut reference: Vec<Sample> = Vec::new();
         for &(timestamp, bits) in &raw {
             let s = Sample { timestamp, value: f64::from_bits(bits) };
-            compressed.append("m", &labels, s);
-            flat.append("m", &labels, s);
+            db.append("m", &labels, s);
+            // A duplicate timestamp lands after its equals.
+            let at = reference.partition_point(|x| x.timestamp <= timestamp);
+            reference.insert(at, s);
         }
-        let a = compressed.query_range("m", &[], i64::MIN, i64::MAX);
-        let b = flat.query_range("m", &[], i64::MIN, i64::MAX);
-        prop_assert_eq!(a.len(), 1);
-        prop_assert_eq!(a[0].samples.len(), b[0].samples.len());
-        for (x, y) in a[0].samples.iter().zip(&b[0].samples) {
-            prop_assert_eq!(x.timestamp, y.timestamp);
-            prop_assert_eq!(x.value.to_bits(), y.value.to_bits());
+        prop_assert!(db.stats().sealed_chunks > 0);
+        let (lo, hi) = (window.0.min(window.1), window.0.max(window.1));
+        for (start, end) in [(i64::MIN, i64::MAX), (lo, hi)] {
+            let got = db.query_range("m", &[], start, end);
+            let want: Vec<&Sample> = reference
+                .iter()
+                .filter(|s| (start..=end).contains(&s.timestamp))
+                .collect();
+            let got = got.first().map(|s| s.samples.as_slice()).unwrap_or_default();
+            prop_assert_eq!(got.len(), want.len());
+            for (x, y) in got.iter().zip(want) {
+                prop_assert_eq!(x.timestamp, y.timestamp);
+                prop_assert_eq!(x.value.to_bits(), y.value.to_bits());
+            }
         }
     }
 

@@ -1,92 +1,10 @@
-//! Cross-crate integration of the sharded TSDB: self-scrape (`obs`) and
-//! the engine's configuration space must agree bit-for-bit.
+//! Cross-crate integration of the TSDB: the `obs` self-scrape stream
+//! seals into compressed chunks and reads back bit for bit.
 
-use env2vec_telemetry::tsdb::TsdbConfig;
-use env2vec_telemetry::{LabelSet, Sample, TimeSeriesDb};
-
-fn fleet(series: usize) -> Vec<LabelSet> {
-    (0..series)
-        .map(|s| {
-            LabelSet::new()
-                .with("env", format!("EM_{s:03}"))
-                .with("testbed", format!("Testbed_{}", s % 11))
-        })
-        .collect()
-}
-
-/// Scrape-shaped workload: `ticks` rounds across the whole fleet, with
-/// a sprinkle of out-of-order rewrites near the end.
-fn ingest(db: &TimeSeriesDb, labels: &[LabelSet], ticks: i64) {
-    for t in 0..ticks {
-        for (s, ls) in labels.iter().enumerate() {
-            let value = ((s * 13 + t as usize * 31) % 97) as f64;
-            db.append(
-                "cpu_usage",
-                ls,
-                Sample {
-                    timestamp: t * 15,
-                    value,
-                },
-            );
-        }
-    }
-    // Stragglers below the seal line for the first few series.
-    for (s, ls) in labels.iter().take(5).enumerate() {
-        let value = s as f64 + 0.5;
-        db.append(
-            "cpu_usage",
-            ls,
-            Sample {
-                timestamp: 7 * 15 + 1,
-                value,
-            },
-        );
-    }
-}
-
-fn dump(db: &TimeSeriesDb) -> Vec<(LabelSet, Vec<(i64, u64)>)> {
-    db.query_range("cpu_usage", &[], i64::MIN, i64::MAX)
-        .into_iter()
-        .map(|s| {
-            (
-                s.labels,
-                s.samples
-                    .iter()
-                    .map(|p| (p.timestamp, p.value.to_bits()))
-                    .collect(),
-            )
-        })
-        .collect()
-}
+use env2vec_telemetry::TimeSeriesDb;
 
 #[test]
-fn every_engine_config_returns_identical_results() {
-    let labels = fleet(60);
-    let configs = [
-        TsdbConfig::default(),
-        TsdbConfig {
-            num_shards: 1,
-            compress: false,
-            ..TsdbConfig::default()
-        },
-        TsdbConfig {
-            num_shards: 5,
-            seal_after: 64,
-            compress: true,
-        },
-    ];
-    let mut dumps = Vec::new();
-    for config in configs {
-        let db = TimeSeriesDb::with_config(config);
-        ingest(&db, &labels, 300);
-        dumps.push(dump(&db));
-    }
-    assert_eq!(dumps[0], dumps[1], "compressed vs flat diverged");
-    assert_eq!(dumps[0], dumps[2], "shard/seal policy changed results");
-}
-
-#[test]
-fn self_scrape_flows_through_the_sharded_engine() {
+fn self_scrape_flows_through_the_tsdb() {
     let registry = env2vec_obs::MetricsRegistry::new();
     let db = TimeSeriesDb::new();
     // Enough scrape rounds that counter series seal and compress.

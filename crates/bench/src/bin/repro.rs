@@ -21,7 +21,7 @@
 //! of `--fast`/`--full` picks the preset; `--seed` and `--runs` override
 //! it wherever they appear.
 //!
-//! Parallelism: `--threads N` bounds the worker pool that runs the
+//! Parallelism: `--threads N` bounds how many threads run the
 //! study's independent fits and chains (default: `ENV2VEC_THREADS` or
 //! the machine's available parallelism). Results are bit-identical at
 //! every thread count — see the `env2vec-par` determinism contract — so

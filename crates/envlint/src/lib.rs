@@ -61,7 +61,7 @@ struct LintJob {
 /// (test code: only `allow`-directive hygiene). Returns findings sorted
 /// by path, line, then rule.
 ///
-/// File scanning fans out over the `par` pool (the linter dogfoods the
+/// File scanning fans out over `par`'s threads (the linter dogfoods the
 /// layer it lints): the file list is collected and sorted sequentially,
 /// chunks are mapped in parallel, and partial results fold in ascending
 /// chunk order, so output is bit-identical at any `ENV2VEC_THREADS`.

@@ -38,23 +38,23 @@ pub enum RuleId {
     /// results at production matrix sizes.
     CastTruncation,
     /// A lock guard (`.lock()` / `.read()` / `.write()` binding) live
-    /// across a call that hands work to the pool (`par::scope`, `spawn`,
-    /// `spawn_named`, `par_map`, ...). The help-stealing scope
-    /// owner runs sibling jobs inline, so a job that re-acquires the
-    /// held lock deadlocks against its own spawner.
+    /// across a call that hands work to `par` (`par::scope`, `spawn`,
+    /// `spawn_named`, `par_map`, ...). The caller waits in the join or
+    /// runs the jobs itself, so a job that takes the held lock
+    /// deadlocks against its own spawner.
     LockAcrossSpawn,
-    /// Two distinct lock acquisitions live in the same scope. With 16
-    /// per-shard lock domains in the TSDB, inconsistent nesting order
-    /// between any two sites is an ABBA deadlock waiting for load;
-    /// allowed only with a reason proving the order is globally fixed
-    /// (e.g. ascending shard index).
+    /// Two distinct lock acquisitions live in the same scope. With lock
+    /// domains in `par`'s slots, the TSDB, the alarm store and the `obs`
+    /// registries, inconsistent nesting order between any two sites is
+    /// an ABBA deadlock waiting for load; allowed only with a reason
+    /// proving the order is globally fixed.
     LockOrder,
     /// An `unsafe` block, fn, or impl without a `// SAFETY:` comment on
     /// or directly above it documenting why the invariants hold.
     UnsafeBlock,
     /// A lock guard live across a blocking file/network call. Device
-    /// latency under a shard lock serializes every thread touching that
-    /// shard behind the disk.
+    /// latency under a lock serializes every thread waiting for that
+    /// lock behind the disk.
     GuardAcrossIo,
     /// An `envlint: allow` directive with no reason text, or naming an
     /// unknown rule. Emitted by the analyzer itself.

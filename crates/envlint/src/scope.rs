@@ -98,9 +98,9 @@ pub struct ScopeInfo {
     pub unsafes: Vec<UnsafeSite>,
 }
 
-/// Pool/thread entry points: a guard live across one of these is held
-/// while another worker may need the same lock (deadlock with the
-/// help-stealing pool, or serialization of every sibling job).
+/// `par` and thread entry points: a guard live across one of these is
+/// held while a job may need the same lock (deadlock when the caller
+/// runs or waits for that job, or serialization of every sibling job).
 const SPAWN_CALLS: &[&str] = &[
     "spawn",
     "spawn_named",
@@ -214,7 +214,7 @@ impl ScopeInfo {
                 self.spawns.push(i);
                 continue;
             }
-            // `scope` is a common word; only treat it as the pool entry
+            // `scope` is a common word; only treat it as the `par` entry
             // point when it is path-qualified (`par::scope(`,
             // `crate::scope(`) or directly takes a closure (`scope(|s|`).
             if t.text == "scope" {

@@ -1,4 +1,4 @@
-//! `lint_workspace` fans file scanning out over the `par` pool; its
+//! `lint_workspace` fans file scanning out over `par`'s threads; its
 //! output contract is that findings are bit-identical to the sequential
 //! order at any thread count. This test builds a scratch workspace with
 //! seeded violations spread over enough files to span several chunks

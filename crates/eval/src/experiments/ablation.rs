@@ -166,7 +166,7 @@ fn run_job(
 /// Runs both ablations on the study's dataset.
 ///
 /// All eight configurations are independent trainings with explicit
-/// seeds, so they fan out over the worker pool; rows are assembled in
+/// seeds, so they fan out over `par`'s threads; rows are assembled in
 /// the fixed order below regardless of completion order.
 pub fn compute(study: &TelecomStudy) -> Result<AblationResult> {
     let base_cfg = Env2VecConfig {

@@ -257,7 +257,7 @@ pub fn evaluate_kdn(opts: &EvalOptions) -> Result<(Vec<VnfResults>, Vec<Signific
     };
 
     // Fan out every independent training job — one per pooled run seed,
-    // plus six per VNF — over the worker pool. Each job is a pure
+    // plus six per VNF — over `par`'s threads. Each job is a pure
     // function of explicit seeds writing into its own slot, and the
     // results are assembled below in fixed (run, VNF, method) order, so
     // scheduling never reaches the numbers: output is bit-identical to

@@ -284,7 +284,7 @@ impl TelecomStudy {
 
     /// Per-chain state for every chain, in chain order. Chains are
     /// independent, so the ridge fits and model inference fan out over
-    /// the `par` pool; `par_map` returns results in input order, so the
+    /// `par`'s threads; `par_map` returns results in input order, so the
     /// states do not depend on the thread count.
     fn chain_states(
         chains: &[BuildChain],

@@ -24,8 +24,8 @@
 //!
 //! Every product runs sequentially on the calling thread. At the model's
 //! shapes (batch 64, a few dozen features and hidden units) a product is
-//! tens of microseconds of work, less than fanning row blocks out to a
-//! worker pool costs; parallelism lives one level up, at whole
+//! tens of microseconds of work, less than fanning row blocks out to
+//! threads costs; parallelism lives one level up, at whole
 //! evaluation jobs.
 //!
 //! The zero-skip follows the same IEEE-754 reasoning as the original

@@ -50,7 +50,7 @@ struct ThreadState {
 thread_local! {
     // Shared (not RefCell) so a guard can carry a handle to the thread
     // state it was *started* on: when a guard is dropped on another
-    // thread — e.g. a `par` pool worker finishing while a sibling span is
+    // thread — e.g. a `par` job's thread finishing while a sibling span is
     // open elsewhere — the span id must be removed from the owner's
     // stack, not the dropper's, or the owner's parent/depth tracking
     // would be corrupted for every later span.

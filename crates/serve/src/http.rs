@@ -10,6 +10,11 @@
 //! Hard limits, enforced before any allocation proportional to the
 //! claimed size: request head ≤ [`MAX_HEAD_BYTES`], header count ≤
 //! [`MAX_HEADERS`], body ≤ [`MAX_BODY_BYTES`].
+//!
+//! Framing is strict: a body is exactly the one `Content-Length` (ASCII
+//! digits only) bytes after the head. A second `Content-Length` or any
+//! `Transfer-Encoding` is a 400, so no connection can hide a second
+//! request inside the first one's body.
 
 use std::io::{Read, Write};
 
@@ -196,12 +201,23 @@ impl<R: Read> HttpConn<R> {
             }
             headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
         }
-        let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| HttpError::BadRequest("malformed Content-Length"))?,
-            None => 0,
-        };
+        // Bodies are framed by one Content-Length alone. A second length
+        // or a transfer coding would let the bytes after this body be
+        // read as another request, so both are rejected.
+        let mut content_length = None;
+        for (name, value) in &headers {
+            match name.as_str() {
+                "content-length" if content_length.is_some() => {
+                    return Err(HttpError::BadRequest("duplicate Content-Length"));
+                }
+                "content-length" => content_length = Some(parse_content_length(value)?),
+                "transfer-encoding" => {
+                    return Err(HttpError::BadRequest("Transfer-Encoding is not supported"));
+                }
+                _ => {}
+            }
+        }
+        let content_length = content_length.unwrap_or(0);
         if content_length > MAX_BODY_BYTES {
             return Err(HttpError::PayloadTooLarge);
         }
@@ -232,6 +248,15 @@ impl<R: Read> HttpConn<R> {
             body,
             keep_alive,
         }))
+    }
+}
+
+/// A `Content-Length` value: one or more ASCII digits, nothing else
+/// (`usize::from_str` alone would also take a leading `+`).
+fn parse_content_length(value: &str) -> Result<usize, HttpError> {
+    match value.parse() {
+        Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => Ok(n),
+        _ => Err(HttpError::BadRequest("malformed Content-Length")),
     }
 }
 
@@ -409,6 +434,9 @@ mod tests {
             b"GET / HTTP/1.1\r\n: empty\r\n\r\n",
             b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
             b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+            b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 10\r\n\r\nabcGET /healthz HTTP/1.1\r\n\r\n",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
             b"\xff\xfe / HTTP/1.1\r\n\r\n",
         ] {
             assert!(

@@ -13,8 +13,8 @@
 //!   same environment merge into one batched `Model::predict` (one GEMM
 //!   per layer instead of one per request) inside a time/size-bounded
 //!   window;
-//! - [`server`] — the TCP accept loop and connection handlers, run as
-//!   long-lived detached jobs on `par`'s pool;
+//! - [`server`] — the TCP accept loop and connection handlers, each on a
+//!   `par::spawn_detached` thread of its own;
 //! - [`loadgen`] — closed- and open-loop request storms with client-side
 //!   latency capture;
 //! - [`trace_store`] — tail-sampled retention of completed request

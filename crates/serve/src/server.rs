@@ -1,11 +1,11 @@
 //! TCP accept loop and per-connection handlers.
 //!
-//! The listener runs non-blocking and is polled from one detached `par`
-//! job; each accepted connection becomes its own detached job (the
-//! pool's detached-capacity accounting keeps scoped training/bench work
-//! runnable while connections sit open). Handlers use a short socket
-//! read timeout so a quiet keep-alive connection re-checks the shutdown
-//! flag every ~50 ms instead of blocking forever.
+//! The listener runs non-blocking and is polled from one
+//! `par::spawn_detached` thread; each accepted connection is a thread of
+//! its own, so open connections never hold back scoped training or bench
+//! work. Handlers use a short socket read timeout so a quiet keep-alive
+//! connection re-checks the shutdown flag every ~50 ms instead of
+//! blocking forever.
 //!
 //! Routes: `POST /predict` (batched inference), `GET /metrics`
 //! (Prometheus text format), `GET /healthz`, `GET /trace/{id}` and

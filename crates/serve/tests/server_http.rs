@@ -250,6 +250,25 @@ fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn conflicting_content_lengths_cannot_smuggle_a_second_request() {
+    let (server, _model, _hub) = served("edge");
+    let mut conn = connect(&server);
+    // Framed by the first length, the body is `abc` and a GET follows;
+    // framed by the second, the GET is body. Either reading is a 400.
+    send_raw(
+        &mut conn,
+        b"POST /predict HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 10\r\n\r\n\
+          abcGET /healthz HTTP/1.1\r\n\r\n",
+    );
+    let mut statuses = Vec::new();
+    while let Ok(response) = conn.read_response() {
+        statuses.push(response.status);
+    }
+    assert_eq!(statuses, vec![400], "one response, then the server closes");
+    server.shutdown();
+}
+
+#[test]
 fn mid_request_disconnects_leave_the_server_serviceable() {
     let (server, _model, _hub) = served("edge");
     // Drop a connection halfway through a request head...

@@ -19,7 +19,7 @@
 //!
 //! Batching is invisible in the outputs: `Model::predict` is
 //! row-independent, so a row's prediction does not depend on which
-//! batch carried it (asserted by `batched_rows_are_bit_identical_*`
+//! batch carried it (asserted against solo `predict` by the tests
 //! below).
 
 use std::collections::BTreeMap;
@@ -195,6 +195,14 @@ impl Batcher {
         if request.rows.is_empty() {
             return (
                 Err(ServeError::InvalidRequest("empty rows".to_string())),
+                BatchTrace::default(),
+            );
+        }
+        // Checked before `queue()`, which would otherwise keep a queue
+        // for every env name a client ever sends.
+        if self.cache.hub().get(&request.env).is_none() {
+            return (
+                Err(ServeError::UnknownEnv(request.env)),
                 BatchTrace::default(),
             );
         }
@@ -479,22 +487,29 @@ mod tests {
         let batcher = Arc::new(Batcher::new(
             Arc::new(ModelCache::new(hub)),
             BatchOptions {
-                // Generous window so concurrent submitters land in one
-                // batch deterministically enough to exercise coalescing.
-                window: Duration::from_millis(50),
-                max_rows: 1024,
+                // The window never expires in the test: the leader
+                // leaves only when all 8 submissions (32 rows) are
+                // queued, so the batch is the same on every run.
+                window: Duration::from_secs(120),
+                max_rows: 32,
             },
         ));
+        let started = Instant::now();
         let mut handles = Vec::new();
         for t in 0..8usize {
             let batcher = Arc::clone(&batcher);
             handles.push(std::thread::spawn(move || {
                 let rows: Vec<PredictRow> = (0..4).map(|k| row(t * 4 + k)).collect();
-                (t, batcher.predict(request("edge", rows)))
+                (t, batcher.predict_traced(request("edge", rows), None))
             }));
         }
         for handle in handles {
-            let (t, result) = handle.join().expect("thread");
+            let (t, (result, trace)) = handle.join().expect("thread");
+            assert_eq!(
+                (trace.batch_requests, trace.batch_rows),
+                (8, 32),
+                "request {t} rode a different batch"
+            );
             let (_, preds) = result.expect("predict");
             assert_eq!(preds.len(), 4);
             for (k, &p) in preds.iter().enumerate() {
@@ -513,6 +528,10 @@ mod tests {
                 );
             }
         }
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "reaching max_rows must close the window early"
+        );
     }
 
     #[test]
@@ -601,5 +620,18 @@ mod tests {
             batcher.predict(request("nowhere", vec![row(0)])),
             Err(ServeError::UnknownEnv(_))
         ));
+    }
+
+    #[test]
+    fn unknown_envs_leave_no_queue_behind() {
+        let (hub, _) = published_hub("edge");
+        let batcher = Batcher::new(Arc::new(ModelCache::new(hub)), BatchOptions::default());
+        for i in 0..100 {
+            assert!(matches!(
+                batcher.predict(request(&format!("nowhere-{i}"), vec![row(0)])),
+                Err(ServeError::UnknownEnv(_))
+            ));
+        }
+        assert!(batcher.queues.read().is_empty());
     }
 }

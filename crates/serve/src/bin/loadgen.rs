@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! loadgen --self-host [--connections N] [--requests N] [--rows N]
-//!         [--mode closed|open] [--rate R] [--window-us U] [--max-rows B]
-//!         [--trace-every N]
+//!         [--mode closed|open] [--rate R] [--trace-every N]
 //! loadgen --addr HOST:PORT --env NAME [--connections N] ...
 //! ```
 //!
@@ -13,14 +12,14 @@
 //! through `GET /trace/{id}`.
 //!
 //! `--self-host` trains a small model, publishes it to an in-process
-//! registry, starts the server on an ephemeral port, and storms it —
-//! a one-command demo and the shape the CI smoke test uses. With
-//! `--addr`, the storm targets an already-running server instead.
+//! registry, starts the server on an ephemeral port with the server's
+//! default batching, and storms it — a one-command demo and the shape
+//! the CI smoke test uses. With `--addr`, the storm targets an
+//! already-running server instead.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use env2vec::config::Env2VecConfig;
 use env2vec::dataframe::Dataframe;
@@ -36,7 +35,7 @@ use env2vec_telemetry::registry::RegistryHub;
 
 fn usage() -> &'static str {
     "usage:\n  loadgen --self-host [--connections N] [--requests N] [--rows N] \
-     [--mode closed|open] [--rate R] [--window-us U] [--max-rows B] [--trace-every N]\n  \
+     [--mode closed|open] [--rate R] [--trace-every N]\n  \
      loadgen --addr HOST:PORT --env NAME [--em a,b,c,d] [--num-cf N] [--history N] \
      [--connections N] [--requests N] [--rows N] [--mode closed|open] [--rate R] \
      [--trace-every N]"
@@ -47,14 +46,12 @@ const BOOLEAN_FLAGS: [&str; 1] = ["self-host"];
 /// Every flag that takes a value. A key in neither this list nor
 /// [`BOOLEAN_FLAGS`] is rejected, so a misspelt flag cannot silently
 /// fall back to its default.
-const VALUE_FLAGS: [&str; 13] = [
+const VALUE_FLAGS: [&str; 11] = [
     "connections",
     "requests",
     "rows",
     "mode",
     "rate",
-    "window-us",
-    "max-rows",
     "trace-every",
     "addr",
     "env",
@@ -136,16 +133,12 @@ fn run() -> Result<(), String> {
             hub,
             ServerOptions {
                 addr: "127.0.0.1:0".parse().map_err(|_| "addr".to_string())?,
-                batch: BatchOptions {
-                    window: Duration::from_micros(numeric(&flags, "window-us", 200u64)?),
-                    max_rows: numeric(&flags, "max-rows", 256usize)?,
-                },
+                batch: BatchOptions::default(),
                 // Mirror the client's 1-in-N rate as server-side head
                 // sampling so unsampled-but-interesting traffic is
                 // retained at the same deterministic rate.
                 trace: TraceBufferConfig {
                     head_sample_every: trace_every as u64,
-                    ..TraceBufferConfig::default()
                 },
             },
         )

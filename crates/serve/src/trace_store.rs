@@ -5,22 +5,30 @@
 //! decision is made once the outcome is known, unlike head sampling
 //! which commits before the request runs):
 //!
-//! - **always kept**: latency over the slow threshold, error status
-//!   (>= 400), or an explicitly sampled trace context (`sampled=1` on
-//!   the incoming `traceparent`);
+//! - **always kept**: latency over the 10 ms slow threshold, error
+//!   status (>= 400), or an explicitly sampled trace context
+//!   (`sampled=1` on the incoming `traceparent`);
 //! - **head sampled**: a deterministic 1-in-N rule keyed on the trace
 //!   id ([`env2vec_obs::TraceContext::keep_1_in_n`] — no RNG, so a
 //!   replayed storm retains the same traces).
 //!
-//! Retention is a fixed-size ring: the newest records evict the oldest,
+//! Retention is a ring of 512 records: the newest evict the oldest,
 //! bounding memory under any storm. Retained traces are served back over
 //! `GET /trace/{id}` and `GET /traces/slow` as JSON.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use env2vec_obs::TraceContext;
 use env2vec_telemetry::locks::TrackedMutex;
 use serde::Serialize;
+
+/// Ring capacity; the newest records evict the oldest.
+const CAPACITY: usize = 512;
+
+/// Latency at which a trace is always kept (and listed by
+/// `/traces/slow`).
+const SLOW_THRESHOLD: Duration = Duration::from_millis(10);
 
 /// One completed request, as retained by the [`TraceBuffer`].
 #[derive(Debug, Clone, Serialize)]
@@ -62,31 +70,16 @@ pub struct SlowTraces {
 }
 
 /// Retention knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TraceBufferConfig {
-    /// Ring capacity; the newest records evict the oldest.
-    pub capacity: usize,
-    /// Latency at which a trace is always kept (and listed by
-    /// `/traces/slow`).
-    pub slow_threshold: Duration,
     /// Deterministic head sampling: keep 1 in N by trace id (0 = off).
     pub head_sample_every: u64,
-}
-
-impl Default for TraceBufferConfig {
-    fn default() -> Self {
-        TraceBufferConfig {
-            capacity: 512,
-            slow_threshold: Duration::from_millis(10),
-            head_sample_every: 0,
-        }
-    }
 }
 
 /// Fixed-size ring of retained traces.
 pub struct TraceBuffer {
     config: TraceBufferConfig,
-    ring: TrackedMutex<std::collections::VecDeque<TraceRecord>>,
+    ring: TrackedMutex<VecDeque<TraceRecord>>,
 }
 
 impl TraceBuffer {
@@ -94,16 +87,8 @@ impl TraceBuffer {
     pub fn new(config: TraceBufferConfig) -> Self {
         TraceBuffer {
             config,
-            ring: TrackedMutex::new(
-                "serve.trace.ring",
-                std::collections::VecDeque::with_capacity(config.capacity.min(1024)),
-            ),
+            ring: TrackedMutex::new("serve.trace.ring", VecDeque::with_capacity(CAPACITY)),
         }
-    }
-
-    /// The retention rules in force.
-    pub fn config(&self) -> &TraceBufferConfig {
-        &self.config
     }
 
     /// Applies the retention rules to one completed request. Returns
@@ -111,18 +96,18 @@ impl TraceBuffer {
     pub fn record(&self, ctx: &TraceContext, record: TraceRecord) -> bool {
         let metrics = env2vec_obs::metrics();
         metrics.counter("serve_traces_observed_total").inc();
-        let slow = record.total_seconds >= self.config.slow_threshold.as_secs_f64();
+        let slow = record.total_seconds >= SLOW_THRESHOLD.as_secs_f64();
         let keep = slow
             || record.status >= 400
             || ctx.sampled
             || (self.config.head_sample_every > 0
                 && ctx.keep_1_in_n(self.config.head_sample_every));
-        if !keep || self.config.capacity == 0 {
+        if !keep {
             return false;
         }
         let retained = {
             let mut ring = self.ring.lock();
-            while ring.len() >= self.config.capacity {
+            while ring.len() >= CAPACITY {
                 ring.pop_front();
             }
             ring.push_back(record);
@@ -158,7 +143,7 @@ impl TraceBuffer {
     /// total retained count.
     pub fn slow(&self) -> SlowTraces {
         let ring = self.ring.lock();
-        let threshold = self.config.slow_threshold.as_secs_f64();
+        let threshold = SLOW_THRESHOLD.as_secs_f64();
         let mut traces: Vec<TraceRecord> = ring
             .iter()
             .filter(|r| r.total_seconds >= threshold)
@@ -221,7 +206,6 @@ mod tests {
     fn head_sampling_is_deterministic() {
         let config = TraceBufferConfig {
             head_sample_every: 8,
-            ..TraceBufferConfig::default()
         };
         let buf = TraceBuffer::new(config);
         let mut kept = Vec::new();
@@ -245,17 +229,22 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_at_capacity() {
-        let buf = TraceBuffer::new(TraceBufferConfig {
-            capacity: 4,
-            ..TraceBufferConfig::default()
-        });
-        let ids: Vec<TraceContext> = (0..6).map(|s| TraceContext::from_seed(s, true)).collect();
+        let buf = TraceBuffer::new(TraceBufferConfig::default());
+        let ids: Vec<TraceContext> = (0..CAPACITY as u64 + 2)
+            .map(|s| TraceContext::from_seed(s, true))
+            .collect();
         for ctx in &ids {
             buf.record(ctx, record(ctx, 200, 0.001));
         }
-        assert_eq!(buf.len(), 4);
+        assert_eq!(buf.len(), CAPACITY);
         assert!(buf.get(&ids[0].trace_id_hex()).is_none(), "evicted");
-        assert!(buf.get(&ids[5].trace_id_hex()).is_some(), "newest kept");
+        assert!(buf.get(&ids[1].trace_id_hex()).is_none(), "evicted");
+        assert!(
+            buf.get(&ids[2].trace_id_hex()).is_some(),
+            "oldest survivor kept"
+        );
+        let newest = ids.last().expect("ids");
+        assert!(buf.get(&newest.trace_id_hex()).is_some(), "newest kept");
     }
 
     #[test]

@@ -86,19 +86,19 @@ pub fn train(
     let window = config.history_window;
 
     let mut vocab = EmVocabulary::telecom();
-    let mut trains = Vec::new();
-    let mut vals = Vec::new();
+    let mut frames = Vec::new();
     for chain in &dataset.chains {
         for ex in chain.history() {
-            let df =
-                Dataframe::from_series(&ex.cf, &ex.cpu, &ex.labels.values(), window, &mut vocab)?;
-            let (t, v) = df.split_validation(0.15)?;
-            trains.push(t);
-            vals.push(v);
+            frames.push(Dataframe::from_series(
+                &ex.cf,
+                &ex.cpu,
+                &ex.labels.values(),
+                window,
+                &mut vocab,
+            )?);
         }
     }
-    let train_df = Dataframe::concat(&trains)?;
-    let val_df = Dataframe::concat(&vals)?;
+    let (train_df, val_df) = Dataframe::pooled_split(&frames, 0.15)?;
     let mut observer = ObsTrainObserver::new("env2vec_cli");
     let (model, report) = train_env2vec_observed(config, vocab, &train_df, &val_df, &mut observer)?;
     let summary = format!(

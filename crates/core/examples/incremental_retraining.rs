@@ -33,23 +33,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Train the blind model on everything else.
     let mut vocab = EmVocabulary::telecom();
-    let mut trains = Vec::new();
-    let mut vals = Vec::new();
+    let mut frames = Vec::new();
     for chain in dataset.chains.iter().filter(|c| !held_out.contains(&c.id)) {
         for ex in chain.history() {
-            let df =
-                Dataframe::from_series(&ex.cf, &ex.cpu, &ex.labels.values(), window, &mut vocab)?;
-            let (t, v) = df.split_validation(0.15)?;
-            trains.push(t);
-            vals.push(v);
+            frames.push(Dataframe::from_series(
+                &ex.cf,
+                &ex.cpu,
+                &ex.labels.values(),
+                window,
+                &mut vocab,
+            )?);
         }
     }
-    let (mut model, _) = train_env2vec(
-        Env2VecConfig::fast(),
-        vocab,
-        &Dataframe::concat(&trains)?,
-        &Dataframe::concat(&vals)?,
-    )?;
+    let (train, val) = Dataframe::pooled_split(&frames, 0.15)?;
+    let (mut model, _) = train_env2vec(Env2VecConfig::fast(), vocab, &train, &val)?;
 
     // Phase 1: blind fit on the held-out chains' current builds.
     let score = |model: &env2vec::Env2VecModel| -> Result<f64, Box<dyn std::error::Error>> {
@@ -71,29 +68,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("blind model, unseen environments: mean MAE {before:.3} CPU points");
 
     // Phase 2: their history becomes available — retrain incrementally.
-    let mut new_trains = Vec::new();
-    let mut new_vals = Vec::new();
+    let mut new_frames = Vec::new();
     for &id in &held_out {
         for ex in dataset.chains[id].history() {
-            let df = Dataframe::from_series_frozen(
+            new_frames.push(Dataframe::from_series_frozen(
                 &ex.cf,
                 &ex.cpu,
                 &ex.labels.values(),
                 window,
                 model.vocab(),
-            )?;
-            let (t, v) = df.split_validation(0.2)?;
-            new_trains.push(t);
-            new_vals.push(v);
+            )?);
         }
     }
-    let report = fine_tune_env2vec(
-        &mut model,
-        20,
-        3e-3,
-        &Dataframe::concat(&new_trains)?,
-        &Dataframe::concat(&new_vals)?,
-    )?;
+    let (new_train, new_val) = Dataframe::pooled_split(&new_frames, 0.2)?;
+    let report = fine_tune_env2vec(&mut model, 20, 3e-3, &new_train, &new_val)?;
     let after = score(&model)?;
     println!(
         "after incremental retraining ({} epochs, best val MSE {:.5}): mean MAE {after:.3}",

@@ -29,19 +29,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Training data: every chain's *historical* builds. The vocabulary
     //    grows as EM tuples are encoded.
     let mut vocab = EmVocabulary::telecom();
-    let mut train_frames = Vec::new();
-    let mut val_frames = Vec::new();
+    let mut frames = Vec::new();
     for chain in &dataset.chains {
         for ex in chain.history() {
-            let df =
-                Dataframe::from_series(&ex.cf, &ex.cpu, &ex.labels.values(), window, &mut vocab)?;
-            let (train, val) = df.split_validation(0.15)?;
-            train_frames.push(train);
-            val_frames.push(val);
+            frames.push(Dataframe::from_series(
+                &ex.cf,
+                &ex.cpu,
+                &ex.labels.values(),
+                window,
+                &mut vocab,
+            )?);
         }
     }
-    let train = Dataframe::concat(&train_frames)?;
-    let val = Dataframe::concat(&val_frames)?;
+    let (train, val) = Dataframe::pooled_split(&frames, 0.15)?;
     println!(
         "training on {} rows from {} chains ({} EM features)",
         train.len(),

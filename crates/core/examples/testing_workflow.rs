@@ -54,21 +54,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 2: daily training on all *historical* (unflagged) data, read
     // back out of the TSDB like the real training pipeline would.
     let mut vocab = EmVocabulary::telecom();
-    let mut train_frames = Vec::new();
-    let mut val_frames = Vec::new();
+    let mut frames = Vec::new();
     for chain in &dataset.chains {
         for ex in chain.history() {
             // Grow the vocabulary from the EM labels...
             vocab.encode_or_add(&ex.labels.values());
             // ...and assemble the dataframe from TSDB queries.
-            let df = read_dataframe(&tsdb, ex, window, &vocab)?;
-            let (t, v) = df.split_validation(0.15)?;
-            train_frames.push(t);
-            val_frames.push(v);
+            frames.push(read_dataframe(&tsdb, ex, window, &vocab)?);
         }
     }
-    let train = Dataframe::concat(&train_frames)?;
-    let val = Dataframe::concat(&val_frames)?;
+    let (train, val) = Dataframe::pooled_split(&frames, 0.15)?;
     let (model, _) = train_env2vec(Env2VecConfig::fast(), vocab, &train, &val)?;
     println!("step 2: trained daily model on {} rows", train.len());
 

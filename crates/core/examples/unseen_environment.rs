@@ -35,19 +35,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Train on everything else.
     let mut vocab = EmVocabulary::telecom();
-    let mut train_frames = Vec::new();
-    let mut val_frames = Vec::new();
+    let mut frames = Vec::new();
     for chain in dataset.chains.iter().filter(|c| c.id != held_out.id) {
         for ex in chain.history() {
-            let df =
-                Dataframe::from_series(&ex.cf, &ex.cpu, &ex.labels.values(), window, &mut vocab)?;
-            let (t, v) = df.split_validation(0.15)?;
-            train_frames.push(t);
-            val_frames.push(v);
+            frames.push(Dataframe::from_series(
+                &ex.cf,
+                &ex.cpu,
+                &ex.labels.values(),
+                window,
+                &mut vocab,
+            )?);
         }
     }
-    let train = Dataframe::concat(&train_frames)?;
-    let val = Dataframe::concat(&val_frames)?;
+    let (train, val) = Dataframe::pooled_split(&frames, 0.15)?;
     let (model, _) = train_env2vec(Env2VecConfig::fast(), vocab, &train, &val)?;
 
     // Show the Figure 5 mix-and-match: which of the held-out tuple's

@@ -123,31 +123,48 @@ impl Dataframe {
     }
 
     /// Concatenates dataframes (e.g. one per execution) into one training
-    /// set.
+    /// set, copying each frame's rows once.
     ///
     /// Returns an error for an empty list or mismatched widths.
     pub fn concat(frames: &[Dataframe]) -> Result<Dataframe> {
-        let Some(first) = frames.first() else {
+        if frames.is_empty() {
             return Err(Error::Empty {
                 routine: "dataframe concat",
             });
-        };
-        let mut cf = first.cf.clone();
-        let mut history = first.history.clone();
-        let mut em = first.em.clone();
-        let mut target = first.target.clone();
-        for f in &frames[1..] {
-            cf = cf.vstack(&f.cf)?;
-            history = history.vstack(&f.history)?;
+        }
+        let cf: Vec<&Matrix> = frames.iter().map(|f| &f.cf).collect();
+        let history: Vec<&Matrix> = frames.iter().map(|f| &f.history).collect();
+        let rows = frames.iter().map(Dataframe::len).sum();
+        let mut em = Vec::with_capacity(rows);
+        let mut target = Vec::with_capacity(rows);
+        for f in frames {
             em.extend_from_slice(&f.em);
             target.extend_from_slice(&f.target);
         }
         Ok(Dataframe {
-            cf,
-            history,
+            cf: Matrix::vstack_all(&cf)?,
+            history: Matrix::vstack_all(&history)?,
             em,
             target,
         })
+    }
+
+    /// Splits every frame (one per execution) at its tail with
+    /// [`Dataframe::split_validation`] and pools each side with
+    /// [`Dataframe::concat`], so each environment appears in both sets (a
+    /// tail split of the pooled frame would remove whole environments
+    /// from training).
+    ///
+    /// Returns an error when a frame cannot be split or the list is
+    /// empty.
+    pub fn pooled_split(frames: &[Dataframe], fraction: f64) -> Result<(Dataframe, Dataframe)> {
+        let (trains, vals): (Vec<_>, Vec<_>) = frames
+            .iter()
+            .map(|f| f.split_validation(fraction))
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        Ok((Self::concat(&trains)?, Self::concat(&vals)?))
     }
 
     /// Extracts the given rows into a new dataframe (mini-batching).
@@ -182,13 +199,13 @@ impl Dataframe {
                 what: "validation fraction must be in (0, 1)",
             });
         }
-        let n_val = ((self.len() as f64) * fraction).round() as usize;
-        let n_val = n_val.clamp(1, self.len().saturating_sub(1));
         if self.len() < 2 {
             return Err(Error::InvalidArgument {
                 what: "need at least two rows to split",
             });
         }
+        let n_val = ((self.len() as f64) * fraction).round() as usize;
+        let n_val = n_val.clamp(1, self.len() - 1);
         let train_idx: Vec<usize> = (0..self.len() - n_val).collect();
         let val_idx: Vec<usize> = (self.len() - n_val..self.len()).collect();
         Ok((self.select(&train_idx)?, self.select(&val_idx)?))
@@ -278,5 +295,91 @@ mod tests {
         assert!(train.target[0] < val.target[0]);
         assert!(df.split_validation(0.0).is_err());
         assert!(df.split_validation(1.0).is_err());
+    }
+
+    #[test]
+    fn one_row_frame_refuses_to_split() {
+        let (cf, ru) = tiny();
+        let mut vocab = EmVocabulary::telecom();
+        let df = Dataframe::from_series(
+            &cf.select_rows(&[0, 1, 2]).unwrap(),
+            &ru[..3],
+            &["t", "s", "tc", "b"],
+            2,
+            &mut vocab,
+        )
+        .unwrap();
+        assert_eq!(df.len(), 1);
+        assert!(matches!(
+            df.split_validation(0.15),
+            Err(Error::InvalidArgument { .. })
+        ));
+        assert!(Dataframe::pooled_split(&[df.clone(), df], 0.15).is_err());
+    }
+
+    /// Three frames of different lengths (4, 3 and 2 rows) and EM
+    /// tuples.
+    fn three_frames() -> Vec<Dataframe> {
+        let (cf, ru) = tiny();
+        let mut vocab = EmVocabulary::telecom();
+        [("t1", 6), ("t2", 5), ("t3", 4)]
+            .iter()
+            .map(|&(tb, steps)| {
+                let cf = cf.select_rows(&(0..steps).collect::<Vec<_>>()).unwrap();
+                Dataframe::from_series(&cf, &ru[..steps], &[tb, "s", "tc", "b"], 2, &mut vocab)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concat_matches_pairwise_vstack_bitwise() {
+        let frames = three_frames();
+        let joined = Dataframe::concat(&frames).unwrap();
+        let (mut cf, mut history) = (frames[0].cf.clone(), frames[0].history.clone());
+        for f in &frames[1..] {
+            cf = cf.vstack(&f.cf).unwrap();
+            history = history.vstack(&f.history).unwrap();
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&joined.cf), bits(&cf));
+        assert_eq!(bits(&joined.history), bits(&history));
+    }
+
+    #[test]
+    fn concat_keeps_em_and_target_in_frame_order() {
+        let frames = three_frames();
+        let joined = Dataframe::concat(&frames).unwrap();
+        let em: Vec<Vec<usize>> = frames.iter().flat_map(|f| f.em.clone()).collect();
+        let target: Vec<f64> = frames.iter().flat_map(|f| f.target.clone()).collect();
+        assert_eq!(joined.len(), 4 + 3 + 2);
+        assert_eq!(joined.em, em);
+        assert_eq!(joined.target, target);
+        assert_eq!(joined.em[4][0], 2, "second frame starts at row 4");
+    }
+
+    #[test]
+    fn concat_rejects_a_later_width_mismatch() {
+        let mut frames = three_frames();
+        frames[2].cf = Matrix::zeros(frames[2].len(), 3);
+        assert!(matches!(
+            Dataframe::concat(&frames),
+            Err(Error::ShapeMismatch { op: "vstack", .. })
+        ));
+        let mut frames = three_frames();
+        frames[1].history = Matrix::zeros(frames[1].len(), 1);
+        assert!(Dataframe::concat(&frames).is_err());
+    }
+
+    #[test]
+    fn pooled_split_keeps_every_environment_on_both_sides() {
+        let frames = three_frames();
+        let (train, val) = Dataframe::pooled_split(&frames, 0.4).unwrap();
+        assert_eq!(train.len() + val.len(), 9);
+        for side in [&train, &val] {
+            let mut testbeds: Vec<usize> = side.em.iter().map(|e| e[0]).collect();
+            testbeds.dedup();
+            assert_eq!(testbeds, vec![1, 2, 3]);
+        }
     }
 }

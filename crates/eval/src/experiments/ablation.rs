@@ -58,25 +58,24 @@ fn frames_with_holdout(
     hold_out: Option<usize>,
 ) -> Result<(EmVocabulary, Dataframe, Dataframe)> {
     let mut vocab = EmVocabulary::telecom();
-    let mut trains = Vec::new();
-    let mut vals = Vec::new();
+    let mut frames = Vec::new();
     for chain in &study.dataset.chains {
         for ex in chain.history() {
             let mut values = ex.labels.values();
             if let Some(f) = hold_out {
                 values[f] = "held-out";
             }
-            let df = Dataframe::from_series(&ex.cf, &ex.cpu, &values, study.window, &mut vocab)?;
-            let (t, v) = df.split_validation(0.15)?;
-            trains.push(t);
-            vals.push(v);
+            frames.push(Dataframe::from_series(
+                &ex.cf,
+                &ex.cpu,
+                &values,
+                study.window,
+                &mut vocab,
+            )?);
         }
     }
-    Ok((
-        vocab,
-        Dataframe::concat(&trains)?,
-        Dataframe::concat(&vals)?,
-    ))
+    let (train, val) = Dataframe::pooled_split(&frames, 0.15)?;
+    Ok((vocab, train, val))
 }
 
 /// Scores a trained model on every chain's clean current build.

@@ -9,7 +9,7 @@
 use env2vec_baselines::linear::LinearRegression;
 use env2vec_datagen::telecom::workload::CF_NAMES;
 use env2vec_linalg::stats::BoxplotSummary;
-use env2vec_linalg::{Error, Result};
+use env2vec_linalg::{Error, Matrix, Result};
 
 use crate::render::{render_boxplot_row, render_heatmap};
 use crate::telecom_study::TelecomStudy;
@@ -35,12 +35,12 @@ pub fn compute(study: &TelecomStudy) -> Result<Fig1Result> {
     for chain in &study.dataset.chains {
         // Train on the chain's history, evaluate residuals on the current
         // clean build — the same split the paper's models face.
-        let mut cf = chain.history()[0].cf.clone();
-        let mut cpu: Vec<f64> = chain.history()[0].cpu.clone();
-        for ex in &chain.history()[1..] {
-            cf = cf.vstack(&ex.cf)?;
-            cpu.extend_from_slice(&ex.cpu);
-        }
+        let history = chain.history();
+        let cf = Matrix::vstack_all(&history.iter().map(|ex| &ex.cf).collect::<Vec<_>>())?;
+        let cpu: Vec<f64> = history
+            .iter()
+            .flat_map(|ex| ex.cpu.iter().copied())
+            .collect();
         let model = LinearRegression::fit(&cf, &cpu)?;
         for (row, &w) in weights.iter_mut().zip(model.weights()) {
             row.push(w);

@@ -62,24 +62,19 @@ pub fn compute(study: &TelecomStudy) -> Result<FinetuneResult> {
     // the held-out builds) still route through <unk>; embeddings of the
     // constructible components sharpen.
     let mut model = study.blind.0.clone();
-    let mut trains = Vec::new();
-    let mut vals = Vec::new();
+    let mut frames = Vec::new();
     for &id in &study.eval_chain_ids {
         for ex in study.dataset.chains[id].history() {
-            let df = Dataframe::from_series_frozen(
+            frames.push(Dataframe::from_series_frozen(
                 &ex.cf,
                 &ex.cpu,
                 &ex.labels.values(),
                 window,
                 &study.blind_vocab,
-            )?;
-            let (t, v) = df.split_validation(0.2)?;
-            trains.push(t);
-            vals.push(v);
+            )?);
         }
     }
-    let train = Dataframe::concat(&trains)?;
-    let val = Dataframe::concat(&vals)?;
+    let (train, val) = Dataframe::pooled_split(&frames, 0.2)?;
 
     // Characterisation quality on the (clean) current builds, before…
     let clean_mae = |m: &env2vec::Env2VecModel| -> Result<f64> {

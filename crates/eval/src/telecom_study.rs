@@ -29,7 +29,7 @@ use env2vec_datagen::telecom::{BuildChain, Execution, TelecomConfig, TelecomData
 use env2vec_htm::{HtmAnomalyDetector, HtmConfig};
 use env2vec_introspect::IntrospectObserver;
 use env2vec_linalg::stats::{mae, mse, Gaussian};
-use env2vec_linalg::{Error, Matrix, Result};
+use env2vec_linalg::{Matrix, Result};
 
 use crate::alarm_eval::{flags_to_intervals, score_alarms, AlarmCounts};
 use crate::options::EvalOptions;
@@ -113,20 +113,6 @@ pub struct TelecomStudy {
     pub training_seconds: f64,
 }
 
-/// Splits every execution's frame into train/validation tails and pools
-/// them, so each environment appears in both sets (a plain tail split of
-/// the concatenation would remove whole environments from training).
-fn pooled_split(frames: &[Dataframe], fraction: f64) -> Result<(Dataframe, Dataframe)> {
-    let mut trains = Vec::with_capacity(frames.len());
-    let mut vals = Vec::with_capacity(frames.len());
-    for f in frames {
-        let (t, v) = f.split_validation(fraction)?;
-        trains.push(t);
-        vals.push(v);
-    }
-    Ok((Dataframe::concat(&trains)?, Dataframe::concat(&vals)?))
-}
-
 /// Builds per-execution dataframes for a chain's history with a growing
 /// vocabulary.
 fn history_frames(
@@ -180,7 +166,7 @@ impl TelecomStudy {
         for chain in &dataset.chains {
             frames.extend(history_frames(chain.history(), window, &mut vocab)?);
         }
-        let (train, val) = pooled_split(&frames, 0.12)?;
+        let (train, val) = Dataframe::pooled_split(&frames, 0.12)?;
 
         // envlint: allow(wall-clock) — deliberate measurement: training
         // wall time is itself a reported result (§6 timing comparison);
@@ -242,7 +228,7 @@ impl TelecomStudy {
                 )?);
             }
         }
-        let (btrain, bval) = pooled_split(&blind_frames, 0.12)?;
+        let (btrain, bval) = Dataframe::pooled_split(&blind_frames, 0.12)?;
         let (blind_env2vec, blind_rfnn) = {
             let _span = env2vec_obs::span!("study/train_blind", rows = btrain.len());
             let (blind_env2vec, _) = train_env2vec_observed(
@@ -308,7 +294,8 @@ impl TelecomStudy {
         rfnn_all: &Env2VecModel,
     ) -> Result<ChainState> {
         // Per-chain ridge models on concatenated history.
-        let hist_cf = concat_cf(chain.history())?;
+        let hist_cf =
+            Matrix::vstack_all(&chain.history().iter().map(|ex| &ex.cf).collect::<Vec<_>>())?;
         let hist_cpu: Vec<f64> = chain
             .history()
             .iter()
@@ -513,19 +500,6 @@ pub fn method_index(method: Method) -> usize {
         Method::RfnnAll => 2,
         Method::Env2Vec => 3,
     }
-}
-
-/// Concatenates the CF matrices of several executions.
-fn concat_cf(executions: &[Execution]) -> Result<Matrix> {
-    let mut iter = executions.iter();
-    let first = iter.next().ok_or(Error::Empty {
-        routine: "concat_cf",
-    })?;
-    let mut out = first.cf.clone();
-    for ex in iter {
-        out = out.vstack(&ex.cf)?;
-    }
-    Ok(out)
 }
 
 /// Shared fast-preset study for the crate's tests: building one is the

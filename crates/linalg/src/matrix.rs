@@ -617,20 +617,32 @@ impl Matrix {
     ///
     /// Returns an error when column counts differ.
     pub fn vstack(&self, below: &Matrix) -> Result<Matrix> {
-        if self.cols != below.cols {
+        Matrix::vstack_all(&[self, below])
+    }
+
+    /// Stacks `parts` top to bottom. The output is sized once and each
+    /// part copied once, so pooling many frames costs one pass over
+    /// their rows (stacking them pairwise re-copies every earlier row).
+    ///
+    /// Returns an error for an empty list or when column counts differ.
+    pub fn vstack_all(parts: &[&Matrix]) -> Result<Matrix> {
+        let Some(first) = parts.first() else {
+            return Err(Error::Empty { routine: "vstack" });
+        };
+        let cols = first.cols;
+        if let Some(bad) = parts.iter().find(|p| p.cols != cols) {
             return Err(Error::ShapeMismatch {
                 op: "vstack",
-                lhs: self.shape(),
-                rhs: below.shape(),
+                lhs: first.shape(),
+                rhs: bad.shape(),
             });
         }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&below.data);
-        Ok(Matrix {
-            rows: self.rows + below.rows,
-            cols: self.cols,
-            data,
-        })
+        let rows = parts.iter().map(|p| p.rows).sum();
+        let mut data = Vec::with_capacity(rows * cols);
+        for p in parts {
+            data.extend_from_slice(&p.data);
+        }
+        Ok(Matrix { rows, cols, data })
     }
 
     /// Concatenates `self` with `right` column-wise.
@@ -835,6 +847,13 @@ mod tests {
         assert_eq!(h.get(0, 4), 2.0);
         assert!(a.vstack(&Matrix::zeros(1, 2)).is_err());
         assert!(a.hstack(&Matrix::zeros(3, 1)).is_err());
+
+        let b = Matrix::filled(1, 3, 7.0);
+        let all = Matrix::vstack_all(&[&a, &b, &a]).unwrap();
+        assert_eq!(all, a.vstack(&b).unwrap().vstack(&a).unwrap());
+        assert_eq!(all.row(2), &[7.0; 3]);
+        assert!(Matrix::vstack_all(&[&a, &b, &Matrix::zeros(1, 2)]).is_err());
+        assert!(Matrix::vstack_all(&[]).is_err());
     }
 
     #[test]
@@ -874,8 +893,8 @@ mod tests {
         let inf = Matrix::from_vec(1, 1, vec![f64::INFINITY]).unwrap();
         assert!(zero.matmul(&nan).unwrap().get(0, 0).is_nan());
         assert!(zero.matmul(&inf).unwrap().get(0, 0).is_nan());
-        // Mixed case: a finite rhs row may still be skipped, a
-        // non-finite one must not be.
+        // Mixed case: the zero left entry meets NaN in one column and a
+        // finite value in the other.
         let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]).unwrap();
         let b = Matrix::from_vec(2, 2, vec![f64::NAN, 2.0, 3.0, 4.0]).unwrap();
         let c = a.matmul(&b).unwrap();

@@ -5,10 +5,11 @@
 //! textbook reference loop, for every shape. This suite sweeps
 //! deterministic pseudo-random matrices over ragged and prime shapes
 //! (1×1 up to sizes well past the packing gate), injects NaN/inf and
-//! signed-zero patterns that the sparsity-skip logic must honour, and
-//! compares against a self-contained naive reference implemented here —
-//! not against any code path in the crate under test. A golden checksum
-//! pins the bits of the model-shaped products.
+//! signed-zero patterns, and compares against a self-contained naive
+//! reference implemented here — not against any code path in the crate
+//! under test. The reference keeps the zero-skip the kernels once had;
+//! a second, skip-free reference shows that dropping the skip changes no
+//! bit. A golden checksum pins the bits of the model-shaped products.
 
 use env2vec_linalg::Matrix;
 
@@ -26,7 +27,7 @@ impl Rng {
     }
 
     /// Uniform-ish value in roughly [-4, 4), with occasional exact
-    /// zeros (both signs) so the sparsity skip is exercised constantly.
+    /// zeros (both signs) so signed-zero products occur constantly.
     fn value(&mut self) -> f64 {
         match self.next_u64() % 16 {
             0 => 0.0,
@@ -40,9 +41,9 @@ impl Rng {
     }
 }
 
-/// Reference `A·B`, mirroring the documented semantics: ascending-`k`
-/// accumulation from 0.0, skipping bitwise-zero left entries against
-/// entirely finite right rows.
+/// Reference `A·B`: ascending-`k` accumulation from 0.0, skipping
+/// bitwise-zero left entries against entirely finite right rows (the
+/// skipping kernels' semantics).
 fn reference_nn(a: &Matrix, b: &Matrix) -> Matrix {
     let row_finite: Vec<bool> = (0..b.rows())
         .map(|r| b.row(r).iter().all(|x| x.is_finite()))
@@ -55,6 +56,18 @@ fn reference_nn(a: &Matrix, b: &Matrix) -> Matrix {
                 continue;
             }
             acc += av * b.get(k, j);
+        }
+        acc
+    })
+}
+
+/// Skip-free reference `A·B`: `acc += a·b` for every `k`, ascending,
+/// from `+0.0` — what the kernels compute.
+fn skip_free_nn(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+        let mut acc = 0.0;
+        for k in 0..a.cols() {
+            acc += a.get(i, k) * b.get(k, j);
         }
         acc
     })
@@ -134,8 +147,8 @@ fn matmul_tn_matches_explicit_transpose_bitwise() {
 }
 
 /// Plants NaN and inf entries in scattered positions so some right-hand
-/// rows/columns are non-finite: the zero-skip must not run against them
-/// (IEEE-754: 0·NaN = 0·inf = NaN).
+/// rows/columns are non-finite: a zero left entry against them must
+/// still give NaN (IEEE-754: 0·NaN = 0·inf = NaN).
 #[test]
 fn nonfinite_columns_survive_all_layouts_bitwise() {
     let mut rng = Rng(0xfeed);
@@ -171,9 +184,9 @@ fn nonfinite_columns_survive_all_layouts_bitwise() {
     }
 }
 
-/// A row of `-0.0` left entries against a finite right-hand side: the
-/// skip yields `+0.0` outputs where an unskipped multiply would yield
-/// `-0.0` — the packed kernels must reproduce the skipped behaviour.
+/// A row of `-0.0` left entries against a finite right-hand side sums
+/// to `+0.0` with or without the skip: an unskipped chain adds `±0.0`
+/// products to a `+0.0` start, and `+0.0 + -0.0` is `+0.0`.
 #[test]
 fn signed_zero_rows_match_reference_bitwise() {
     let m = 9;
@@ -193,8 +206,8 @@ fn signed_zero_rows_match_reference_bitwise() {
     }
 }
 
-/// Uniform in [-1, 1), with an exact 1/16 chance of ±0.0 so the
-/// zero-skip lane is exercised.
+/// Uniform in [-1, 1), with an exact 1/16 chance of ±0.0 so signed-zero
+/// products are exercised.
 fn golden_value(rng: &mut Rng) -> f64 {
     let r = rng.next_u64();
     if r.is_multiple_of(16) {
@@ -293,5 +306,43 @@ fn blocked_transpose_matches_naive_on_ragged_shapes() {
             }
         }
         assert_eq!(t.transpose(), m, "double transpose round-trips");
+    }
+}
+
+/// The zero-skip never changes a bit: the skip-free reference equals the
+/// skipping one on the shape sweep, on right operands holding NaN and
+/// inf, and on left rows of all `+0.0`, all `-0.0` and mixed zeros.
+#[test]
+fn skipping_and_skip_free_references_agree_bitwise() {
+    let mut rng = Rng(0x51f7);
+    for (m, k, n) in shape_sweep() {
+        let a = rng.matrix(m, k);
+        let b = rng.matrix(k, n);
+        let what = format!("sweep {m}x{k}x{n}");
+        assert_bits_eq(&skip_free_nn(&a, &b), &reference_nn(&a, &b), &what);
+    }
+    for (m, k, n) in [(7, 13, 11), (64, 33, 32), (65, 67, 71)] {
+        let mut a = rng.matrix(m, k);
+        let mut b = rng.matrix(k, n);
+        for c in 0..k {
+            a.set(0, c, 0.0);
+            a.set(1 % m, c, -0.0);
+            a.set(2 % m, c, if c % 2 == 0 { 0.0 } else { -0.0 });
+        }
+        for (r, c, v) in [
+            (0, 0, f64::NAN),
+            (1, 2, f64::INFINITY),
+            (2, 1, f64::NEG_INFINITY),
+            (5, 3, f64::NAN),
+        ] {
+            b.set(r % k, c % n, v);
+        }
+        let want = reference_nn(&a, &b);
+        assert!(want.as_slice().iter().any(|x| x.is_nan()));
+        let what = format!("non-finite {m}x{k}x{n}");
+        assert_bits_eq(&skip_free_nn(&a, &b), &want, &what);
+        let b = rng.matrix(k, n);
+        let what = format!("zero rows {m}x{k}x{n}");
+        assert_bits_eq(&skip_free_nn(&a, &b), &reference_nn(&a, &b), &what);
     }
 }

@@ -607,184 +607,193 @@ impl Graph {
             let Some(out_grad) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Clone the op descriptor to release the borrow on self.nodes.
-            let op = self.nodes[i].op.clone();
+            // The op comes out the same way, so its dropout mask and
+            // index lists are not copied; both go back before an error
+            // returns.
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
             let timer = OpTimer::start();
             let profiled = if timer.armed() {
                 Some((op.name(), self.backward_cost(&op, &out_grad)))
             } else {
                 None
             };
-            match op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    // dA = dY·Bᵀ and dB = Aᵀ·dY via the transposed GEMM
-                    // entry points: no transposed copy of A or B is ever
-                    // materialised, and the results are bit-identical to
-                    // the transpose-then-matmul formulation.
-                    let buf = self.take_buf();
-                    let da = out_grad.matmul_nt_with(&self.nodes[b.0].value, buf)?;
-                    let buf = self.take_buf();
-                    let db = self.nodes[a.0].value.matmul_tn_with(&out_grad, buf)?;
-                    self.accumulate(a, da)?;
-                    self.accumulate(b, db)?;
-                }
-                Op::Add(a, b) => {
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(b, g)?;
-                }
-                Op::AddRowBroadcast(a, bias) => {
-                    // Bias gradient is the column-sum of the output grad.
-                    let cols = out_grad.cols();
-                    let buf = self.take_buf();
-                    let mut bias_grad = Matrix::zeros_with(1, cols, buf);
-                    for r in 0..out_grad.rows() {
-                        for (bg, &g) in bias_grad.row_mut(0).iter_mut().zip(out_grad.row(r)) {
-                            *bg += g;
-                        }
-                    }
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                    self.accumulate(bias, bias_grad)?;
-                }
-                Op::Sub(a, b) => {
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                    let buf = self.take_buf();
-                    let g = out_grad.scale_with(-1.0, buf);
-                    self.accumulate(b, g)?;
-                }
-                Op::Mul(a, b) => {
-                    let buf = self.take_buf();
-                    let da = out_grad.hadamard_with(&self.nodes[b.0].value, buf)?;
-                    let buf = self.take_buf();
-                    let db = out_grad.hadamard_with(&self.nodes[a.0].value, buf)?;
-                    self.accumulate(a, da)?;
-                    self.accumulate(b, db)?;
-                }
-                Op::Scale(a, alpha) => {
-                    let buf = self.take_buf();
-                    let g = out_grad.scale_with(alpha, buf);
-                    self.accumulate(a, g)?;
-                }
-                Op::AddScalar(a) => {
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                }
-                Op::Sigmoid(a) => {
-                    // dσ = σ (1 - σ), where σ is this node's forward value.
-                    let buf = self.take_buf();
-                    let local = self.nodes[i].value.map_with(buf, |x| x * (1.0 - x));
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::Tanh(a) => {
-                    let buf = self.take_buf();
-                    let local = self.nodes[i].value.map_with(buf, |x| 1.0 - x * x);
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::Relu(a) => {
-                    let buf = self.take_buf();
-                    let local =
-                        self.nodes[a.0]
-                            .value
-                            .map_with(buf, |x| if x > 0.0 { 1.0 } else { 0.0 });
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::Square(a) => {
-                    let buf = self.take_buf();
-                    let local = self.nodes[a.0].value.scale_with(2.0, buf);
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::ConcatCols(parts) => {
-                    let mut offset = 0;
-                    for p in parts {
-                        let w = self.nodes[p.0].value.cols();
-                        let rows = out_grad.rows();
-                        let buf = self.take_buf();
-                        let slice =
-                            Matrix::from_fn_with(rows, w, buf, |r, c| out_grad.get(r, offset + c));
-                        self.accumulate(p, slice)?;
-                        offset += w;
-                    }
-                }
-                Op::GatherRows { table, indices } => {
-                    let tv = self.nodes[table.0].value.shape();
-                    let buf = self.take_buf();
-                    let mut tg = Matrix::zeros_with(tv.0, tv.1, buf);
-                    for (out_row, &idx) in indices.iter().enumerate() {
-                        for (g, &og) in tg.row_mut(idx).iter_mut().zip(out_grad.row(out_row)) {
-                            *g += og;
-                        }
-                    }
-                    self.accumulate(table, tg)?;
-                }
-                Op::RowSums(a) => {
-                    let shape = self.nodes[a.0].value.shape();
-                    let buf = self.take_buf();
-                    let da = Matrix::from_fn_with(shape.0, shape.1, buf, |r, _| out_grad.get(r, 0));
-                    self.accumulate(a, da)?;
-                }
-                Op::MeanAll(a) => {
-                    let shape = self.nodes[a.0].value.shape();
-                    let g = out_grad.get(0, 0) / (shape.0 * shape.1) as f64;
-                    let buf = self.take_buf();
-                    let da = Matrix::from_fn_with(shape.0, shape.1, buf, |_, _| g);
-                    self.accumulate(a, da)?;
-                }
-                Op::DropoutMask { input, mask } => {
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&mask, buf)?;
-                    self.accumulate(input, g)?;
-                }
-                Op::SliceCols { input, start, len } => {
-                    let shape = self.nodes[input.0].value.shape();
-                    let buf = self.take_buf();
-                    let mut da = Matrix::zeros_with(shape.0, shape.1, buf);
-                    for r in 0..out_grad.rows() {
-                        for jj in 0..len {
-                            da.set(r, start + jj, out_grad.get(r, jj));
-                        }
-                    }
-                    self.accumulate(input, da)?;
-                }
-                Op::RowSoftmax(a) => {
-                    // dX_i = p_i ⊙ (dY_i − (dY_i · p_i) 1), per row.
-                    let buf = self.take_buf();
-                    let p = &self.nodes[i].value;
-                    let mut da = Matrix::zeros_with(p.rows(), p.cols(), buf);
-                    for r in 0..p.rows() {
-                        let dot: f64 = out_grad
-                            .row(r)
-                            .iter()
-                            .zip(p.row(r))
-                            .map(|(g, q)| g * q)
-                            .sum();
-                        for ((d, &g), &q) in
-                            da.row_mut(r).iter_mut().zip(out_grad.row(r)).zip(p.row(r))
-                        {
-                            *d = q * (g - dot);
-                        }
-                    }
-                    self.accumulate(a, da)?;
-                }
-            }
+            let step = self.backward_step(i, &op, &out_grad);
+            self.nodes[i].op = op;
             self.nodes[i].grad = Some(out_grad);
+            step?;
             if let Some((name, cost)) = profiled {
                 timer.finish(Phase::Backward, name, i, cost);
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies node `i`'s backward rule: routes `out_grad`, the
+    /// gradient of node `i` (whose op is `op`), into its inputs.
+    fn backward_step(&mut self, i: usize, op: &Op, out_grad: &Matrix) -> Result<()> {
+        match *op {
+            Op::Leaf => {}
+            Op::MatMul(a, b) => {
+                // dA = dY·Bᵀ and dB = Aᵀ·dY via the transposed GEMM
+                // entry points: no transposed copy of A or B is ever
+                // materialised, and the results are bit-identical to
+                // the transpose-then-matmul formulation.
+                let buf = self.take_buf();
+                let da = out_grad.matmul_nt_with(&self.nodes[b.0].value, buf)?;
+                let buf = self.take_buf();
+                let db = self.nodes[a.0].value.matmul_tn_with(out_grad, buf)?;
+                self.accumulate(a, da)?;
+                self.accumulate(b, db)?;
+            }
+            Op::Add(a, b) => {
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(b, g)?;
+            }
+            Op::AddRowBroadcast(a, bias) => {
+                // Bias gradient is the column-sum of the output grad.
+                let cols = out_grad.cols();
+                let buf = self.take_buf();
+                let mut bias_grad = Matrix::zeros_with(1, cols, buf);
+                for r in 0..out_grad.rows() {
+                    for (bg, &g) in bias_grad.row_mut(0).iter_mut().zip(out_grad.row(r)) {
+                        *bg += g;
+                    }
+                }
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+                self.accumulate(bias, bias_grad)?;
+            }
+            Op::Sub(a, b) => {
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+                let buf = self.take_buf();
+                let g = out_grad.scale_with(-1.0, buf);
+                self.accumulate(b, g)?;
+            }
+            Op::Mul(a, b) => {
+                let buf = self.take_buf();
+                let da = out_grad.hadamard_with(&self.nodes[b.0].value, buf)?;
+                let buf = self.take_buf();
+                let db = out_grad.hadamard_with(&self.nodes[a.0].value, buf)?;
+                self.accumulate(a, da)?;
+                self.accumulate(b, db)?;
+            }
+            Op::Scale(a, alpha) => {
+                let buf = self.take_buf();
+                let g = out_grad.scale_with(alpha, buf);
+                self.accumulate(a, g)?;
+            }
+            Op::AddScalar(a) => {
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+            }
+            Op::Sigmoid(a) => {
+                // dσ = σ (1 - σ), where σ is this node's forward value.
+                let buf = self.take_buf();
+                let local = self.nodes[i].value.map_with(buf, |x| x * (1.0 - x));
+                let buf = self.take_buf();
+                let g = out_grad.hadamard_with(&local, buf)?;
+                self.give_buf(local.into_vec());
+                self.accumulate(a, g)?;
+            }
+            Op::Tanh(a) => {
+                let buf = self.take_buf();
+                let local = self.nodes[i].value.map_with(buf, |x| 1.0 - x * x);
+                let buf = self.take_buf();
+                let g = out_grad.hadamard_with(&local, buf)?;
+                self.give_buf(local.into_vec());
+                self.accumulate(a, g)?;
+            }
+            Op::Relu(a) => {
+                let buf = self.take_buf();
+                let local = self.nodes[a.0]
+                    .value
+                    .map_with(buf, |x| if x > 0.0 { 1.0 } else { 0.0 });
+                let buf = self.take_buf();
+                let g = out_grad.hadamard_with(&local, buf)?;
+                self.give_buf(local.into_vec());
+                self.accumulate(a, g)?;
+            }
+            Op::Square(a) => {
+                let buf = self.take_buf();
+                let local = self.nodes[a.0].value.scale_with(2.0, buf);
+                let buf = self.take_buf();
+                let g = out_grad.hadamard_with(&local, buf)?;
+                self.give_buf(local.into_vec());
+                self.accumulate(a, g)?;
+            }
+            Op::ConcatCols(ref parts) => {
+                let mut offset = 0;
+                for &p in parts {
+                    let w = self.nodes[p.0].value.cols();
+                    let rows = out_grad.rows();
+                    let buf = self.take_buf();
+                    let slice =
+                        Matrix::from_fn_with(rows, w, buf, |r, c| out_grad.get(r, offset + c));
+                    self.accumulate(p, slice)?;
+                    offset += w;
+                }
+            }
+            Op::GatherRows { table, ref indices } => {
+                let tv = self.nodes[table.0].value.shape();
+                let buf = self.take_buf();
+                let mut tg = Matrix::zeros_with(tv.0, tv.1, buf);
+                for (out_row, &idx) in indices.iter().enumerate() {
+                    for (g, &og) in tg.row_mut(idx).iter_mut().zip(out_grad.row(out_row)) {
+                        *g += og;
+                    }
+                }
+                self.accumulate(table, tg)?;
+            }
+            Op::RowSums(a) => {
+                let shape = self.nodes[a.0].value.shape();
+                let buf = self.take_buf();
+                let da = Matrix::from_fn_with(shape.0, shape.1, buf, |r, _| out_grad.get(r, 0));
+                self.accumulate(a, da)?;
+            }
+            Op::MeanAll(a) => {
+                let shape = self.nodes[a.0].value.shape();
+                let g = out_grad.get(0, 0) / (shape.0 * shape.1) as f64;
+                let buf = self.take_buf();
+                let da = Matrix::from_fn_with(shape.0, shape.1, buf, |_, _| g);
+                self.accumulate(a, da)?;
+            }
+            Op::DropoutMask { input, ref mask } => {
+                let buf = self.take_buf();
+                let g = out_grad.hadamard_with(mask, buf)?;
+                self.accumulate(input, g)?;
+            }
+            Op::SliceCols { input, start, len } => {
+                let shape = self.nodes[input.0].value.shape();
+                let buf = self.take_buf();
+                let mut da = Matrix::zeros_with(shape.0, shape.1, buf);
+                for r in 0..out_grad.rows() {
+                    for jj in 0..len {
+                        da.set(r, start + jj, out_grad.get(r, jj));
+                    }
+                }
+                self.accumulate(input, da)?;
+            }
+            Op::RowSoftmax(a) => {
+                // dX_i = p_i ⊙ (dY_i − (dY_i · p_i) 1), per row.
+                let buf = self.take_buf();
+                let p = &self.nodes[i].value;
+                let mut da = Matrix::zeros_with(p.rows(), p.cols(), buf);
+                for r in 0..p.rows() {
+                    let dot: f64 = out_grad
+                        .row(r)
+                        .iter()
+                        .zip(p.row(r))
+                        .map(|(g, q)| g * q)
+                        .sum();
+                    for ((d, &g), &q) in da.row_mut(r).iter_mut().zip(out_grad.row(r)).zip(p.row(r))
+                    {
+                        *d = q * (g - dot);
+                    }
+                }
+                self.accumulate(a, da)?;
             }
         }
         Ok(())

@@ -1,9 +1,9 @@
 //! Named lock wrappers with an opt-in runtime lock-order sanitizer.
 //!
 //! [`TrackedMutex`] / [`TrackedRwLock`] are the workspace's standard
-//! locks for concurrent subsystems (`par`'s channel and scope state, the
-//! TSDB map, the alarm store, the `obs` span and metrics registries,
-//! histogram exemplar slots). They come in two builds, switched by the
+//! locks for concurrent subsystems (`par`'s result slots, the TSDB map,
+//! the alarm store, the `obs` span and metrics registries, histogram
+//! exemplar slots). They come in two builds, switched by the
 //! `lock-sanitizer` cargo feature:
 //!
 //! - **off (default)**: `#[inline]` newtypes over `std::sync` that

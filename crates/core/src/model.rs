@@ -286,7 +286,7 @@ impl Env2VecModel {
         }
         // FNN branch.
         let cf_scaled = self.cf_scaler.transform(&batch.cf)?;
-        let cf = graph.leaf(cf_scaled);
+        let cf = graph.constant(cf_scaled);
         let mut v_fs = self.fnn.forward(graph, bound, cf)?;
         if let Some(rng) = dropout_rng.as_deref_mut() {
             if self.config.dropout > 0.0 {
@@ -300,13 +300,13 @@ impl Env2VecModel {
                 let col: Vec<f64> = (0..b)
                     .map(|i| self.y_scaler.scale(batch.history.get(i, t)))
                     .collect();
-                graph.leaf(Matrix::col_vector(&col))
+                graph.constant(Matrix::col_vector(&col))
             })
             .collect();
         let v_ts = match &self.attention {
-            None => self.gru.run_sequence(graph, bound, &steps, b)?,
+            None => self.gru.run_sequence(graph, bound, &steps)?,
             Some(pool) => {
-                let states = self.gru.run_sequence_all(graph, bound, &steps, b)?;
+                let states = self.gru.run_sequence_all(graph, bound, &steps)?;
                 pool.forward(graph, bound, &states)?
             }
         };

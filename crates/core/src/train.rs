@@ -226,7 +226,7 @@ fn fit(
             graph.reset();
             let bound = model.params().bind(&mut graph);
             let pred = model.forward(&mut graph, &bound, &batch, Some(&mut dropout_rng))?;
-            let target = graph.leaf(Matrix::col_vector(&scaled_targets));
+            let target = graph.constant(Matrix::col_vector(&scaled_targets));
             let loss = graph.mse(pred, target)?;
             graph.backward(loss)?;
             let grads = model.params().gradients(&graph, &bound)?;
@@ -267,15 +267,9 @@ fn fit(
             break;
         }
     }
-    // total_cmp gives a total order even if a loss went NaN, so epoch
-    // selection can never panic mid-run (NaN sorts above every real
-    // loss and is never chosen as the best epoch).
-    let best_epoch = val_losses
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
+    // The epoch whose parameters are restored, which is not always the
+    // lowest loss (an improvement must exceed `min_delta`).
+    let best_epoch = stopper.best_epoch();
     let current = model.params().clone();
     model.set_params(stopper.into_best(current));
     observer.on_complete(best_epoch, stopped_early);

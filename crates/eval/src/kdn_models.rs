@@ -156,7 +156,7 @@ impl FnnBaseline {
                 g.reset();
                 let bound = model.params.bind(&mut g);
                 let o = model.forward(&mut g, &bound, &bx, mask)?;
-                let t = g.leaf(Matrix::col_vector(&by));
+                let t = g.constant(Matrix::col_vector(&by));
                 let loss = g.mse(o, t)?;
                 g.backward(loss)?;
                 let grads = model.params.gradients(&g, &bound)?;
@@ -181,7 +181,7 @@ impl FnnBaseline {
         x: &Matrix,
         mask: Option<Matrix>,
     ) -> Result<NodeId> {
-        let inp = g.leaf(self.cf_scaler.transform(x)?);
+        let inp = g.constant(self.cf_scaler.transform(x)?);
         let mut h = self.hidden.forward(g, bound, inp)?;
         if let Some(mask) = mask {
             h = g.dropout(h, mask)?;

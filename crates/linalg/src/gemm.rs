@@ -2,10 +2,14 @@
 //! and its transposed variants.
 //!
 //! Three layouts share one microkernel: `nn` (`A·B`), `nt` (`A·Bᵀ`) and
-//! `tn` (`Aᵀ·B`). The left operand is packed into `MR`-row panels
-//! (`MR` values contiguous per `k`), the right operand into `NR`-column
-//! panels (`NR` values contiguous per `k`), and an `MR×NR` register
-//! accumulator walks the **full** inner dimension in ascending order.
+//! `tn` (`Aᵀ·B`). The left operand is packed into `MR`-row panels, one
+//! at a time, with each of a panel's `MR` values stored twice per `k`
+//! (a pre-broadcast pair, so the kernel's 128-bit loads need no
+//! shuffle); the right operand into `NR`-column panels (`NR` values
+//! contiguous per `k`); and an `MR×NR` register accumulator walks the
+//! **full** inner dimension in ascending order. Full-width tiles store,
+//! and full-width B panels pack, fixed `[f64; NR]` runs; only ragged
+//! edges loop element by element.
 //!
 //! # Why results are bit-identical to the naive `ikj` loop
 //!
@@ -60,8 +64,9 @@ const PACK_MIN_COLS: usize = NR;
 thread_local! {
     /// Packed right-operand panels, reused across calls on each thread.
     static PB_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
-    /// Packed left-operand panels, reused across calls on each thread
-    /// (steady-state training loops stop allocating here entirely).
+    /// The one packed left-operand panel, reused across calls on each
+    /// thread (steady-state training loops stop allocating here
+    /// entirely).
     static PA_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
@@ -76,19 +81,29 @@ fn with_scratch<T: Default, R>(key: &'static LocalKey<Cell<T>>, f: impl FnOnce(&
     })
 }
 
+/// Doubles per `k` step of a packed A panel: each of the `MR` rows'
+/// values stored twice, so one 128-bit load is already the broadcast
+/// pair that `mulpd` multiplies against two packed-B lanes.
+const PA_STEP: usize = 2 * MR;
+
 /// The `MR×NR` register microkernel: one full-`k` pass over a packed A
-/// panel (`MR` values per `k`) and a packed B panel (`NR` values per
-/// `k`), one branch-free rank-1 update per `k` into an accumulator that
-/// starts at `+0.0` and lives in registers.
+/// panel (`PA_STEP` values per `k`) and a packed B panel (`NR` values
+/// per `k`), one branch-free rank-1 update per `k` into an accumulator
+/// that starts at `+0.0` and lives in registers.
+///
+/// Output column `c` multiplies by copy `c % 2` of its row's value. Both
+/// copies are the same double, so every product is `a[r][k]·b[k][c]`;
+/// the pair lets one 128-bit load feed `mulpd` without a shuffle.
 #[inline]
 fn microkernel(pa: &[f64], pb: &[f64]) -> [[f64; NR]; MR] {
     let mut acc = [[0.0_f64; NR]; MR];
-    let (a_cols, _) = pa.as_chunks::<MR>();
+    let (a_steps, _) = pa.as_chunks::<PA_STEP>();
     let (b_rows, _) = pb.as_chunks::<NR>();
-    for (a_col, b_row) in a_cols.iter().zip(b_rows) {
-        for (acc_row, &a) in acc.iter_mut().zip(a_col) {
-            for (o, &b) in acc_row.iter_mut().zip(b_row) {
-                *o += a * b;
+    for (a_step, b_row) in a_steps.iter().zip(b_rows) {
+        let (a_pairs, _) = a_step.as_chunks::<2>();
+        for (acc_row, a) in acc.iter_mut().zip(a_pairs) {
+            for (c, (o, &b)) in acc_row.iter_mut().zip(b_row).enumerate() {
+                *o += a[c % 2] * b;
             }
         }
     }
@@ -96,13 +111,14 @@ fn microkernel(pa: &[f64], pb: &[f64]) -> [[f64; NR]; MR] {
 }
 
 /// Computes all `m` rows of C (`out`, row stride `n`) from pre-packed B
-/// panels. `pack_a_panel(first, h, dest)` fills `dest` (`k·MR` doubles)
-/// with rows `first..first+h` of the effective left operand, zeroing
-/// the unused `MR - h` lanes (their results are discarded at store).
+/// panels. `pack_a_panel(first, h, dest)` fills `dest` (`k·PA_STEP`
+/// doubles) with rows `first..first+h` of the effective left operand
+/// through [`pack_a`].
 ///
-/// All A panels are packed once up front; the B-panel loop is outermost
-/// so each packed B panel is reused across every A panel while it is
-/// cache-hot.
+/// A panels are packed one at a time into one `k·PA_STEP` scratch
+/// buffer, whatever `m` is; each is reused across every B panel while
+/// it is cache-hot, and the tile stores walk its `MR` output rows left
+/// to right.
 fn gemm_rows(
     out: &mut [f64],
     m: usize,
@@ -112,29 +128,30 @@ fn gemm_rows(
     mut pack_a_panel: impl FnMut(usize, usize, &mut [f64]),
 ) {
     with_scratch(&PA_SCRATCH, |pa| {
-        let need = m.div_ceil(MR) * k * MR;
+        let need = k * PA_STEP;
         if pa.len() < need {
             pa.resize(need, 0.0);
         }
         let pa = &mut pa[..need];
-        for (pi, panel) in pa.chunks_exact_mut(k * MR).enumerate() {
-            let p0 = pi * MR;
-            pack_a_panel(p0, MR.min(m - p0), panel);
-        }
-        let mut j0 = 0;
-        while j0 < n {
-            let w = NR.min(n - j0);
-            let b_panel = &pb[(j0 / NR) * k * NR..][..k * NR];
-            for (pi, a_panel) in pa.chunks_exact(k * MR).enumerate() {
-                let p0 = pi * MR;
-                let h = MR.min(m - p0);
-                let acc = microkernel(a_panel, b_panel);
+        for p0 in (0..m).step_by(MR) {
+            let h = MR.min(m - p0);
+            pack_a_panel(p0, h, pa);
+            for j0 in (0..n).step_by(NR) {
+                let b_panel = &pb[(j0 / NR) * k * NR..][..k * NR];
+                let acc = microkernel(pa, b_panel);
+                let w = NR.min(n - j0);
                 for (r, acc_row) in acc.iter().enumerate().take(h) {
                     let dst = &mut out[(p0 + r) * n + j0..][..w];
-                    dst.copy_from_slice(&acc_row[..w]);
+                    match <&mut [f64; NR]>::try_from(&mut *dst) {
+                        Ok(full) => *full = *acc_row,
+                        Err(_) => {
+                            for (o, &v) in dst.iter_mut().zip(acc_row) {
+                                *o = v;
+                            }
+                        }
+                    }
                 }
             }
-            j0 += NR;
         }
     });
 }
@@ -147,7 +164,8 @@ fn packed_b_len(k: usize, n: usize) -> usize {
 
 /// Packs `b` (`k×n`, row-major) into `NR`-column panels, zero-padding
 /// the last panel's unused lanes (the scratch buffer may hold stale
-/// data from a previous product, so every lane is written).
+/// data from a previous product, so every lane is written). A full
+/// panel copies one fixed `[f64; NR]` run per `k`.
 fn pack_b_nn(b: &[f64], k: usize, n: usize, pb: &mut Vec<f64>) {
     let need = packed_b_len(k, n);
     if pb.len() < need {
@@ -156,9 +174,16 @@ fn pack_b_nn(b: &[f64], k: usize, n: usize, pb: &mut Vec<f64>) {
     for (p, dst) in pb[..need].chunks_exact_mut(k * NR).enumerate() {
         let j0 = p * NR;
         let w = NR.min(n - j0);
-        for (kk, lane) in dst.chunks_exact_mut(NR).enumerate() {
-            lane[..w].copy_from_slice(&b[kk * n + j0..][..w]);
-            lane[w..].fill(0.0);
+        let (lanes, _) = dst.as_chunks_mut::<NR>();
+        for (lane, src) in lanes.iter_mut().zip(b[j0..].chunks(n)) {
+            match <&[f64; NR]>::try_from(&src[..w]) {
+                Ok(full) => *lane = *full,
+                Err(_) => {
+                    for (c, l) in lane.iter_mut().enumerate() {
+                        *l = if c < w { src[c] } else { 0.0 };
+                    }
+                }
+            }
         }
     }
 }
@@ -201,7 +226,7 @@ pub(crate) fn gemm_nn(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &
         with_scratch(&PB_SCRATCH, |pb| {
             pack_b_nn(b, k, n, pb);
             gemm_rows(out, m, n, k, &pb[..packed_b_len(k, n)], |first, h, dest| {
-                pack_a_rows(a, k, first, h, dest);
+                pack_a(dest, h, |r, kk| a[(first + r) * k + kk]);
             });
         });
     } else {
@@ -217,7 +242,7 @@ pub(crate) fn gemm_nt(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &
         with_scratch(&PB_SCRATCH, |pb| {
             pack_b_nt(b, n, k, pb);
             gemm_rows(out, m, n, k, &pb[..packed_b_len(k, n)], |first, h, dest| {
-                pack_a_rows(a, k, first, h, dest);
+                pack_a(dest, h, |r, kk| a[(first + r) * k + kk]);
             });
         });
     } else {
@@ -233,7 +258,7 @@ pub(crate) fn gemm_tn(a: &[f64], k: usize, m: usize, b: &[f64], n: usize, out: &
         with_scratch(&PB_SCRATCH, |pb| {
             pack_b_nn(b, k, n, pb);
             gemm_rows(out, m, n, k, &pb[..packed_b_len(k, n)], |first, h, dest| {
-                pack_a_cols(a, m, k, first, h, dest);
+                pack_a(dest, h, |r, kk| a[kk * m + first + r]);
             });
         });
     } else {
@@ -241,29 +266,16 @@ pub(crate) fn gemm_tn(a: &[f64], k: usize, m: usize, b: &[f64], n: usize, out: &
     }
 }
 
-/// Packs `h` rows of a row-major `·×k` slab (rows `first..first+h`)
-/// into a `k·MR` panel, zeroing lanes `h..MR`.
-fn pack_a_rows(a: &[f64], k: usize, first: usize, h: usize, dest: &mut [f64]) {
-    for r in 0..MR {
-        if r < h {
-            for (kk, &v) in a[(first + r) * k..][..k].iter().enumerate() {
-                dest[kk * MR + r] = v;
-            }
-        } else {
-            for kk in 0..k {
-                dest[kk * MR + r] = 0.0;
-            }
-        }
-    }
-}
-
-/// Packs `h` columns of a row-major `k×m` slab (columns
-/// `first..first+h`) into a `k·MR` panel, zeroing lanes `h..MR`.
-fn pack_a_cols(a: &[f64], m: usize, k: usize, first: usize, h: usize, dest: &mut [f64]) {
-    for kk in 0..k {
-        let src = &a[kk * m..][..m];
-        for r in 0..MR {
-            dest[kk * MR + r] = if r < h { src[first + r] } else { 0.0 };
+/// Fills a packed A panel (`k·PA_STEP` doubles): at every `k` step,
+/// lane pair `r` holds `at(r, k)` twice for the `h` live rows and
+/// zeros for the rest (their results are discarded at store).
+fn pack_a(dest: &mut [f64], h: usize, at: impl Fn(usize, usize) -> f64) {
+    let (steps, _) = dest.as_chunks_mut::<PA_STEP>();
+    for (kk, step) in steps.iter_mut().enumerate() {
+        let (pairs, _) = step.as_chunks_mut::<2>();
+        for (r, pair) in pairs.iter_mut().enumerate() {
+            let v = if r < h { at(r, kk) } else { 0.0 };
+            *pair = [v, v];
         }
     }
 }

@@ -87,7 +87,9 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
 
 /// Shapes chosen to straddle the packing gate: tiny (naive), medium and
 /// large (packed), with ragged `% 4 != 0` / `% 8 != 0` edges and prime
-/// dimensions throughout.
+/// dimensions throughout, plus the study model's own products (batch 64
+/// through the FNN, dense layer and GRU recurrence, and a 158-row dense
+/// forward).
 fn shape_sweep() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -107,6 +109,10 @@ fn shape_sweep() -> Vec<(usize, usize, usize)> {
         (128, 31, 127),
         (130, 67, 90),
         (300, 80, 500),
+        (64, 14, 64),
+        (64, 80, 40),
+        (64, 16, 16),
+        (158, 80, 40),
     ]
 }
 

@@ -8,10 +8,25 @@
 //!
 //! Graphs are cheap and short-lived: a training step builds one, runs
 //! backward, pulls out the parameter gradients, and drops it.
+//!
+//! Leaves come in two kinds. A [`Graph::leaf`] (every bound parameter)
+//! takes a gradient; a [`Graph::constant`] (a data input: features,
+//! history, targets) does not. Every node records whether any operand
+//! leads back to a leaf, and [`Graph::backward`] computes only those
+//! gradients: it skips nodes built from constants alone, and each
+//! operand side of a binary op that leads only to constants (a model's
+//! first `x·W` never computes `dx`). Parameter gradients never read a
+//! constant's gradient, so skipping them moves no bit.
 
 use env2vec_linalg::{Error, Matrix, Result};
 
 use crate::profile::{OpCost, OpTimer, Phase};
+
+/// The arena class of a buffer with capacity `capacity` (at least 1):
+/// `floor(log2(capacity))`.
+fn capacity_class(capacity: usize) -> usize {
+    capacity.ilog2() as usize
+}
 
 /// Identifier of a node within one [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,8 +42,10 @@ impl NodeId {
 /// The operation that produced a node.
 #[derive(Debug, Clone)]
 enum Op {
-    /// A leaf value (input or bound parameter).
+    /// A leaf value that takes a gradient (a bound parameter).
     Leaf,
+    /// A leaf value that takes no gradient (a data input).
+    Constant,
     /// Matrix product `a * b`.
     MatMul(NodeId, NodeId),
     /// Element-wise sum of two same-shape nodes.
@@ -76,6 +93,7 @@ impl Op {
     fn name(&self) -> &'static str {
         match self {
             Op::Leaf => "Leaf",
+            Op::Constant => "Constant",
             Op::MatMul(..) => "MatMul",
             Op::Add(..) => "Add",
             Op::AddRowBroadcast(..) => "AddRowBroadcast",
@@ -96,6 +114,33 @@ impl Op {
             Op::SliceCols { .. } => "SliceCols",
         }
     }
+
+    /// Whether a node built by this op takes a gradient, given which
+    /// nodes do: a leaf does, a constant does not, and any other op does
+    /// when one of its operands does.
+    fn needs_grad(&self, needs: impl Fn(NodeId) -> bool) -> bool {
+        match *self {
+            Op::Leaf => true,
+            Op::Constant => false,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b) => needs(a) || needs(b),
+            Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::Square(a)
+            | Op::RowSums(a)
+            | Op::MeanAll(a)
+            | Op::RowSoftmax(a) => needs(a),
+            Op::ConcatCols(ref parts) => parts.iter().any(|&p| needs(p)),
+            Op::GatherRows { table, .. } => needs(table),
+            Op::DropoutMask { input, .. } | Op::SliceCols { input, .. } => needs(input),
+        }
+    }
 }
 
 /// One tape entry.
@@ -104,6 +149,8 @@ struct Node {
     value: Matrix,
     grad: Option<Matrix>,
     op: Op,
+    /// Whether a gradient flows into this node (see [`Op::needs_grad`]).
+    needs_grad: bool,
 }
 
 /// A define-by-run computation tape.
@@ -112,11 +159,19 @@ pub struct Graph {
     nodes: Vec<Node>,
     /// Scratch arena: spent value/gradient buffers harvested by
     /// [`Graph::reset`], handed back out to ops that build fresh
-    /// matrices. After the first step of a training loop that reuses its
-    /// graph, forward MatMuls, backward MatMuls and gradient clones all
-    /// draw from here instead of the allocator (`--profile-ops` alloc
-    /// counters measure exactly this).
-    arena: Vec<Vec<f64>>,
+    /// matrices. Class `c` holds buffers whose capacity is at least
+    /// `2^c` and less than `2^(c+1)`, and a request for `len` doubles
+    /// takes from the smallest class that must fit it, so a step that
+    /// repeats the last one's shapes finds a large-enough buffer for
+    /// every output. After the first step of a training loop that reuses
+    /// its graph, forward MatMuls, backward MatMuls and gradient clones
+    /// all draw from here instead of the allocator (the profiler's
+    /// allocation counts measure exactly this).
+    arena: Vec<Vec<Vec<f64>>>,
+    /// Allocations the running op has made so far: buffers the arena
+    /// could not supply at the size asked for, and the op's own lists.
+    /// The profiler reads and clears it as each op finishes.
+    allocs: u64,
 }
 
 impl Graph {
@@ -130,36 +185,50 @@ impl Graph {
     /// loop that holds one `Graph` across steps stops allocating once
     /// warm.
     pub fn reset(&mut self) {
-        for node in self.nodes.drain(..) {
-            let buf = node.value.into_vec();
-            if buf.capacity() > 0 {
-                self.arena.push(buf);
-            }
+        let mut nodes = std::mem::take(&mut self.nodes);
+        for node in nodes.drain(..) {
+            self.give_buf(node.value.into_vec());
             if let Some(grad) = node.grad {
-                let buf = grad.into_vec();
-                if buf.capacity() > 0 {
-                    self.arena.push(buf);
-                }
+                self.give_buf(grad.into_vec());
             }
         }
-        // Backstop: a steady-state step takes roughly as many buffers as
-        // reset harvests, but an unusually large step (e.g. a one-off
-        // validation pass) must not leave its high-water mark pinned in
-        // the pool forever.
-        const ARENA_CAP: usize = 1024;
-        self.arena.truncate(ARENA_CAP);
+        self.nodes = nodes;
     }
 
-    /// Pops a spent buffer from the scratch arena (empty when the arena
-    /// is cold; the `*_with` constructors resize as needed).
-    fn take_buf(&mut self) -> Vec<f64> {
-        self.arena.pop().unwrap_or_default()
+    /// Takes a spent buffer with capacity for `len` doubles from the
+    /// scratch arena. When no class that must fit holds one, the buffer
+    /// is allocated with capacity `len` rounded up to a power of two (so
+    /// it lands in the class that serves `len` again) and the allocation
+    /// is counted for the profiler.
+    fn take_buf(&mut self, len: usize) -> Vec<f64> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let fits = len.next_power_of_two();
+        for class in self.arena.iter_mut().skip(capacity_class(fits)) {
+            if let Some(buf) = class.pop() {
+                return buf;
+            }
+        }
+        self.allocs += 1;
+        Vec::with_capacity(fits)
     }
 
     /// Returns a spent buffer to the scratch arena.
     fn give_buf(&mut self, buf: Vec<f64>) {
-        if buf.capacity() > 0 {
-            self.arena.push(buf);
+        // Backstop: a steady-state step takes as many buffers of each
+        // class as it gives back, but an unusually large step must not
+        // leave its high-water mark pinned in the pool forever.
+        const CLASS_CAP: usize = 256;
+        if buf.capacity() == 0 {
+            return;
+        }
+        let class = capacity_class(buf.capacity());
+        if self.arena.len() <= class {
+            self.arena.resize_with(class + 1, Vec::new);
+        }
+        if self.arena[class].len() < CLASS_CAP {
+            self.arena[class].push(buf);
         }
     }
 
@@ -182,37 +251,40 @@ impl Graph {
             self.nodes.len()
         );
         let site = self.nodes.len();
-        if timer.armed() {
-            let name = op.name();
-            let cost = self.forward_cost(&op, &value);
-            self.nodes.push(Node {
-                value,
-                grad: None,
-                op,
-            });
+        let allocs = std::mem::take(&mut self.allocs);
+        let needs_grad = op.needs_grad(|id| self.needs_grad(id));
+        let profiled = timer
+            .armed()
+            .then(|| (op.name(), self.forward_cost(&op, &value, allocs)));
+        self.nodes.push(Node {
+            value,
+            grad: None,
+            op,
+            needs_grad,
+        });
+        if let Some((name, cost)) = profiled {
             timer.finish(Phase::Forward, name, site, cost);
-        } else {
-            self.nodes.push(Node {
-                value,
-                grad: None,
-                op,
-            });
         }
         NodeId(site)
     }
 
-    /// Estimated flop/allocation cost of one forward op execution. These
-    /// are static estimates from the op's shapes (MatMul `2·m·k·n`,
+    /// Whether a gradient flows into node `id`.
+    fn needs_grad(&self, id: NodeId) -> bool {
+        self.nodes[id.0].needs_grad
+    }
+
+    /// Cost of one forward op execution: `allocs` as counted, and a
+    /// static flop estimate from the op's shapes (MatMul `2·m·k·n`,
     /// transcendentals a small multiple of the element count, pure data
-    /// movement zero), not measurements.
-    fn forward_cost(&self, op: &Op, out: &Matrix) -> OpCost {
+    /// movement zero).
+    fn forward_cost(&self, op: &Op, out: &Matrix, allocs: u64) -> OpCost {
         let n = out.len() as u64;
-        let (flops, allocs) = match op {
-            Op::Leaf => (0, 0),
+        let flops = match op {
+            Op::Leaf | Op::Constant => 0,
             Op::MatMul(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let cols = self.nodes[b.0].value.cols();
-                ((2 * av.rows() * av.cols() * cols) as u64, 1)
+                (2 * av.rows() * av.cols() * cols) as u64
             }
             Op::Add(..)
             | Op::AddRowBroadcast(..)
@@ -222,15 +294,14 @@ impl Graph {
             | Op::AddScalar(..)
             | Op::Relu(..)
             | Op::Square(..)
-            | Op::DropoutMask { .. } => (n, 1),
+            | Op::DropoutMask { .. } => n,
             // exp-based activations: a few flops per element.
-            Op::Sigmoid(..) | Op::Tanh(..) => (4 * n, 1),
-            Op::RowSums(a) | Op::MeanAll(a) => (self.nodes[a.0].value.len() as u64, 1),
+            Op::Sigmoid(..) | Op::Tanh(..) => 4 * n,
+            Op::RowSums(a) | Op::MeanAll(a) => self.nodes[a.0].value.len() as u64,
             // max + exp + normalise per element.
-            Op::RowSoftmax(..) => (5 * n, 1),
+            Op::RowSoftmax(..) => 5 * n,
             // Pure data movement.
-            Op::ConcatCols(parts) => (0, parts.len() as u64),
-            Op::GatherRows { .. } | Op::SliceCols { .. } => (0, 1),
+            Op::ConcatCols(..) | Op::GatherRows { .. } | Op::SliceCols { .. } => 0,
         };
         OpCost {
             flops,
@@ -239,39 +310,38 @@ impl Graph {
         }
     }
 
-    /// Estimated cost of one backward step through `op`, given the
-    /// output gradient flowing into it.
-    fn backward_cost(&self, op: &Op, out_grad: &Matrix) -> OpCost {
+    /// Estimated flops of one backward step through `op`, given the
+    /// output gradient flowing into it. Only the operand sides that
+    /// take a gradient are computed, and only they are counted.
+    fn backward_flops(&self, op: &Op, out_grad: &Matrix) -> u64 {
         let n = out_grad.len() as u64;
-        let (flops, allocs) = match op {
-            Op::Leaf => (0, 0),
-            // dA = dY·Bᵀ (2·m·n·k) and dB = Aᵀ·dY (2·k·m·n) through the
-            // transposed GEMM entry points: `4·|dY|·k` flops total and
-            // two output buffers — no transposed copies.
-            Op::MatMul(_, b) => {
+        let sides =
+            |a: NodeId, b: NodeId| u64::from(self.needs_grad(a)) + u64::from(self.needs_grad(b));
+        match *op {
+            Op::Leaf | Op::Constant => 0,
+            // dA = dY·Bᵀ and dB = Aᵀ·dY through the transposed GEMM
+            // entry points, `2·|dY|·k` flops each — no transposed copies.
+            Op::MatMul(a, b) => {
                 let k = self.nodes[b.0].value.rows() as u64;
-                (4 * n * k, 2)
+                2 * n * k * sides(a, b)
             }
-            Op::Add(..) | Op::Sub(..) => (n, 2),
-            Op::AddRowBroadcast(..) | Op::Mul(..) => (2 * n, 2),
-            Op::Scale(..) | Op::AddScalar(..) => (n, 1),
+            Op::Mul(a, b) => n * sides(a, b),
+            Op::Add(..) | Op::Sub(..) => n,
+            Op::AddRowBroadcast(..) => 2 * n,
+            Op::Scale(..) | Op::AddScalar(..) => n,
             // Local derivative from the cached activation (2 flops per
-            // element) plus the Hadamard with the output gradient.
-            Op::Sigmoid(..) | Op::Tanh(..) => (3 * n, 2),
-            Op::Relu(..) | Op::Square(..) | Op::DropoutMask { .. } => (2 * n, 2),
-            Op::ConcatCols(parts) => (0, parts.len() as u64),
-            Op::GatherRows { .. } | Op::SliceCols { .. } => (n, 1),
-            Op::RowSums(a) | Op::MeanAll(a) => (self.nodes[a.0].value.len() as u64, 1),
-            Op::RowSoftmax(..) => (4 * n, 1),
-        };
-        OpCost {
-            flops,
-            allocs,
-            out_elems: 0,
+            // element) times the output gradient.
+            Op::Sigmoid(..) | Op::Tanh(..) => 3 * n,
+            Op::Relu(..) | Op::Square(..) | Op::DropoutMask { .. } => 2 * n,
+            Op::ConcatCols(..) => 0,
+            Op::GatherRows { .. } | Op::SliceCols { .. } => n,
+            Op::RowSums(a) | Op::MeanAll(a) => self.nodes[a.0].value.len() as u64,
+            Op::RowSoftmax(..) => 4 * n,
         }
     }
 
-    /// Adds a leaf node holding `value` (an input or a bound parameter).
+    /// Adds a leaf node holding `value` that takes a gradient (a bound
+    /// parameter, or an input whose gradient is wanted).
     pub fn leaf(&mut self, value: Matrix) -> NodeId {
         let timer = OpTimer::start();
         self.push(value, Op::Leaf, timer)
@@ -282,8 +352,16 @@ impl Graph {
     /// of `leaf(value.clone())` for graphs reused via [`Graph::reset`]).
     pub fn leaf_from(&mut self, value: &Matrix) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(value.len());
         self.push(value.clone_with(buf), Op::Leaf, timer)
+    }
+
+    /// Adds a constant node holding `value`: a data input that takes no
+    /// gradient. [`Graph::backward`] computes none for it, nor for any
+    /// op over constants alone, so their [`Graph::grad`] stays `None`.
+    pub fn constant(&mut self, value: Matrix) -> NodeId {
+        let timer = OpTimer::start();
+        self.push(value, Op::Constant, timer)
     }
 
     /// Forward value of a node.
@@ -310,7 +388,7 @@ impl Graph {
     /// Returns an error on inner-dimension mismatch.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.rows() * self.nodes[b.0].value.cols());
         let v = self.nodes[a.0]
             .value
             .matmul_with(&self.nodes[b.0].value, buf)?;
@@ -322,7 +400,7 @@ impl Graph {
     /// Returns an error on shape mismatch.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0]
             .value
             .add_with(&self.nodes[b.0].value, buf)?;
@@ -343,15 +421,17 @@ impl Graph {
                 rhs: bv.shape(),
             });
         }
-        let buf = self.take_buf();
+        // One pass: each output row is written as `a + b` straight from
+        // both operands.
+        let mut buf = self.take_buf(self.nodes[a.0].value.len());
         let av = &self.nodes[a.0].value;
         let bv = &self.nodes[bias.0].value;
-        let mut v = av.clone_with(buf);
-        for i in 0..v.rows() {
-            for (x, &b) in v.row_mut(i).iter_mut().zip(bv.row(0)) {
-                *x += b;
-            }
+        buf.clear();
+        buf.reserve(av.len());
+        for i in 0..av.rows() {
+            buf.extend(av.row(i).iter().zip(bv.row(0)).map(|(&x, &b)| x + b));
         }
+        let v = Matrix::from_vec(av.rows(), av.cols(), buf)?;
         Ok(self.push(v, Op::AddRowBroadcast(a, bias), timer))
     }
 
@@ -360,7 +440,7 @@ impl Graph {
     /// Returns an error on shape mismatch.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0]
             .value
             .sub_with(&self.nodes[b.0].value, buf)?;
@@ -372,7 +452,7 @@ impl Graph {
     /// Returns an error on shape mismatch.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0]
             .value
             .hadamard_with(&self.nodes[b.0].value, buf)?;
@@ -382,7 +462,7 @@ impl Graph {
     /// Scalar multiple node.
     pub fn scale(&mut self, a: NodeId, alpha: f64) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0].value.scale_with(alpha, buf);
         self.push(v, Op::Scale(a, alpha), timer)
     }
@@ -390,7 +470,7 @@ impl Graph {
     /// Element-wise `a + alpha` node.
     pub fn add_scalar(&mut self, a: NodeId, alpha: f64) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0].value.map_with(buf, |x| x + alpha);
         self.push(v, Op::AddScalar(a), timer)
     }
@@ -404,7 +484,7 @@ impl Graph {
     /// Logistic-sigmoid node.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0]
             .value
             .map_with(buf, |x| 1.0 / (1.0 + (-x).exp()));
@@ -414,7 +494,7 @@ impl Graph {
     /// Hyperbolic-tangent node.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0].value.map_with(buf, f64::tanh);
         self.push(v, Op::Tanh(a), timer)
     }
@@ -422,7 +502,7 @@ impl Graph {
     /// ReLU node.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0].value.map_with(buf, |x| x.max(0.0));
         self.push(v, Op::Relu(a), timer)
     }
@@ -430,7 +510,7 @@ impl Graph {
     /// Element-wise square node.
     pub fn square(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0].value.map_with(buf, |x| x * x);
         self.push(v, Op::Square(a), timer)
     }
@@ -460,7 +540,7 @@ impl Graph {
         }
         // Single gather into one arena buffer instead of the old
         // clone-then-repeated-hstack cascade (quadratic allocation).
-        let mut buf = self.take_buf();
+        let mut buf = self.take_buf(rows * cols);
         buf.clear();
         buf.reserve(rows * cols);
         for r in 0..rows {
@@ -469,7 +549,8 @@ impl Graph {
             }
         }
         let v = Matrix::from_vec(rows, cols, buf)?;
-        Ok(self.push(v, Op::ConcatCols(parts.to_vec()), timer))
+        let parts = self.counted_copy(parts);
+        Ok(self.push(v, Op::ConcatCols(parts), timer))
     }
 
     /// Gathers `indices` rows of `table` (an embedding lookup).
@@ -477,23 +558,17 @@ impl Graph {
     /// Returns an error when an index is out of range.
     pub fn gather_rows(&mut self, table: NodeId, indices: &[usize]) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(indices.len() * self.nodes[table.0].value.cols());
         let v = self.nodes[table.0].value.select_rows_with(indices, buf)?;
-        Ok(self.push(
-            v,
-            Op::GatherRows {
-                table,
-                indices: indices.to_vec(),
-            },
-            timer,
-        ))
+        let indices = self.counted_copy(indices);
+        Ok(self.push(v, Op::GatherRows { table, indices }, timer))
     }
 
     /// Sums each row, producing an `R x 1` node — the `Σ v_d ⊙ C`
     /// reduction of the paper's Equation 2.
     pub fn row_sums(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.rows());
         let av = &self.nodes[a.0].value;
         let v = Matrix::from_fn_with(av.rows(), 1, buf, |i, _| av.row(i).iter().sum());
         self.push(v, Op::RowSums(a), timer)
@@ -504,13 +579,14 @@ impl Graph {
     /// Returns an error for an empty input.
     pub fn mean_all(&mut self, a: NodeId) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let av = &self.nodes[a.0].value;
-        if av.is_empty() {
+        if self.nodes[a.0].value.is_empty() {
             return Err(Error::Empty {
                 routine: "mean_all",
             });
         }
-        let v = Matrix::filled(1, 1, av.sum() / av.len() as f64);
+        let buf = self.take_buf(1);
+        let av = &self.nodes[a.0].value;
+        let v = Matrix::from_fn_with(1, 1, buf, |_, _| av.sum() / av.len() as f64);
         Ok(self.push(v, Op::MeanAll(a), timer))
     }
 
@@ -522,7 +598,7 @@ impl Graph {
     /// recorded at all.
     pub fn dropout(&mut self, a: NodeId, mask: Matrix) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let v = self.nodes[a.0].value.hadamard_with(&mask, buf)?;
         Ok(self.push(v, Op::DropoutMask { input: a, mask }, timer))
     }
@@ -538,7 +614,7 @@ impl Graph {
                 what: "slice_cols out of range or empty",
             });
         }
-        let buf = self.take_buf();
+        let buf = self.take_buf(av.rows() * len);
         let av = &self.nodes[a.0].value;
         let v = Matrix::from_fn_with(av.rows(), len, buf, |i, j| av.get(i, start + j));
         Ok(self.push(
@@ -556,7 +632,7 @@ impl Graph {
     /// distribution. Numerically stabilised by subtracting the row max.
     pub fn row_softmax(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
-        let buf = self.take_buf();
+        let buf = self.take_buf(self.nodes[a.0].value.len());
         let av = &self.nodes[a.0].value;
         let mut v = av.clone_with(buf);
         for i in 0..v.rows() {
@@ -584,7 +660,8 @@ impl Graph {
     }
 
     /// Runs reverse-mode differentiation from `loss`, accumulating
-    /// gradients into every reachable node.
+    /// gradients into every reachable node that takes one (a loss built
+    /// from constants alone gets none).
     ///
     /// Returns an error when `loss` is not a `1 x 1` scalar node.
     pub fn backward(&mut self, loss: NodeId) -> Result<()> {
@@ -598,7 +675,11 @@ impl Graph {
                 self.give_buf(g.into_vec());
             }
         }
-        self.nodes[loss.0].grad = Some(Matrix::filled(1, 1, 1.0));
+        self.allocs = 0;
+        if self.needs_grad(loss) {
+            let buf = self.take_buf(1);
+            self.nodes[loss.0].grad = Some(Matrix::from_fn_with(1, 1, buf, |_, _| 1.0));
+        }
 
         for i in (0..=loss.0).rev() {
             // Take the gradient out of the tape for the duration of this
@@ -612,16 +693,19 @@ impl Graph {
             // returns.
             let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
             let timer = OpTimer::start();
-            let profiled = if timer.armed() {
-                Some((op.name(), self.backward_cost(&op, &out_grad)))
-            } else {
-                None
-            };
+            let flops = timer.armed().then(|| self.backward_flops(&op, &out_grad));
             let step = self.backward_step(i, &op, &out_grad);
+            let allocs = std::mem::take(&mut self.allocs);
+            let name = op.name();
             self.nodes[i].op = op;
             self.nodes[i].grad = Some(out_grad);
             step?;
-            if let Some((name, cost)) = profiled {
+            if let Some(flops) = flops {
+                let cost = OpCost {
+                    flops,
+                    allocs,
+                    out_elems: 0,
+                };
                 timer.finish(Phase::Backward, name, i, cost);
             }
         }
@@ -629,59 +713,77 @@ impl Graph {
     }
 
     /// Applies node `i`'s backward rule: routes `out_grad`, the
-    /// gradient of node `i` (whose op is `op`), into its inputs.
+    /// gradient of node `i` (whose op is `op`), into those of its inputs
+    /// that take a gradient. A unary op's input always does when the op
+    /// itself does; a binary op skips each side that does not.
     fn backward_step(&mut self, i: usize, op: &Op, out_grad: &Matrix) -> Result<()> {
         match *op {
-            Op::Leaf => {}
+            Op::Leaf | Op::Constant => {}
             Op::MatMul(a, b) => {
                 // dA = dY·Bᵀ and dB = Aᵀ·dY via the transposed GEMM
                 // entry points: no transposed copy of A or B is ever
                 // materialised, and the results are bit-identical to
                 // the transpose-then-matmul formulation.
-                let buf = self.take_buf();
-                let da = out_grad.matmul_nt_with(&self.nodes[b.0].value, buf)?;
-                let buf = self.take_buf();
-                let db = self.nodes[a.0].value.matmul_tn_with(out_grad, buf)?;
-                self.accumulate(a, da)?;
-                self.accumulate(b, db)?;
+                if self.needs_grad(a) {
+                    let bv = &self.nodes[b.0].value;
+                    let buf = self.take_buf(out_grad.rows() * bv.rows());
+                    let da = out_grad.matmul_nt_with(&self.nodes[b.0].value, buf)?;
+                    self.accumulate(a, da)?;
+                }
+                if self.needs_grad(b) {
+                    let buf = self.take_buf(self.nodes[a.0].value.cols() * out_grad.cols());
+                    let db = self.nodes[a.0].value.matmul_tn_with(out_grad, buf)?;
+                    self.accumulate(b, db)?;
+                }
             }
             Op::Add(a, b) => {
-                let g = self.pooled_clone(out_grad);
-                self.accumulate(a, g)?;
-                let g = self.pooled_clone(out_grad);
-                self.accumulate(b, g)?;
-            }
-            Op::AddRowBroadcast(a, bias) => {
-                // Bias gradient is the column-sum of the output grad.
-                let cols = out_grad.cols();
-                let buf = self.take_buf();
-                let mut bias_grad = Matrix::zeros_with(1, cols, buf);
-                for r in 0..out_grad.rows() {
-                    for (bg, &g) in bias_grad.row_mut(0).iter_mut().zip(out_grad.row(r)) {
-                        *bg += g;
+                for side in [a, b] {
+                    if self.needs_grad(side) {
+                        let g = self.pooled_clone(out_grad);
+                        self.accumulate(side, g)?;
                     }
                 }
-                let g = self.pooled_clone(out_grad);
-                self.accumulate(a, g)?;
-                self.accumulate(bias, bias_grad)?;
+            }
+            Op::AddRowBroadcast(a, bias) => {
+                if self.needs_grad(a) {
+                    let g = self.pooled_clone(out_grad);
+                    self.accumulate(a, g)?;
+                }
+                if self.needs_grad(bias) {
+                    // Bias gradient is the column-sum of the output grad.
+                    let cols = out_grad.cols();
+                    let buf = self.take_buf(cols);
+                    let mut bias_grad = Matrix::zeros_with(1, cols, buf);
+                    for r in 0..out_grad.rows() {
+                        for (bg, &g) in bias_grad.row_mut(0).iter_mut().zip(out_grad.row(r)) {
+                            *bg += g;
+                        }
+                    }
+                    self.accumulate(bias, bias_grad)?;
+                }
             }
             Op::Sub(a, b) => {
-                let g = self.pooled_clone(out_grad);
-                self.accumulate(a, g)?;
-                let buf = self.take_buf();
-                let g = out_grad.scale_with(-1.0, buf);
-                self.accumulate(b, g)?;
+                if self.needs_grad(a) {
+                    let g = self.pooled_clone(out_grad);
+                    self.accumulate(a, g)?;
+                }
+                if self.needs_grad(b) {
+                    let buf = self.take_buf(out_grad.len());
+                    let g = out_grad.scale_with(-1.0, buf);
+                    self.accumulate(b, g)?;
+                }
             }
             Op::Mul(a, b) => {
-                let buf = self.take_buf();
-                let da = out_grad.hadamard_with(&self.nodes[b.0].value, buf)?;
-                let buf = self.take_buf();
-                let db = out_grad.hadamard_with(&self.nodes[a.0].value, buf)?;
-                self.accumulate(a, da)?;
-                self.accumulate(b, db)?;
+                for (side, other) in [(a, b), (b, a)] {
+                    if self.needs_grad(side) {
+                        let buf = self.take_buf(out_grad.len());
+                        let d = out_grad.hadamard_with(&self.nodes[other.0].value, buf)?;
+                        self.accumulate(side, d)?;
+                    }
+                }
             }
             Op::Scale(a, alpha) => {
-                let buf = self.take_buf();
+                let buf = self.take_buf(out_grad.len());
                 let g = out_grad.scale_with(alpha, buf);
                 self.accumulate(a, g)?;
             }
@@ -689,56 +791,48 @@ impl Graph {
                 let g = self.pooled_clone(out_grad);
                 self.accumulate(a, g)?;
             }
+            // Each element-wise rule is one pass `g · local`, with the
+            // local derivative taken from the cached value: this node's
+            // (`σ(1 − σ)`, `1 − tanh²`) or the input's (ReLU's step,
+            // `2x`).
             Op::Sigmoid(a) => {
-                // dσ = σ (1 - σ), where σ is this node's forward value.
-                let buf = self.take_buf();
-                let local = self.nodes[i].value.map_with(buf, |x| x * (1.0 - x));
-                let buf = self.take_buf();
-                let g = out_grad.hadamard_with(&local, buf)?;
-                self.give_buf(local.into_vec());
+                let g = self.grad_times(out_grad, i, |g, s| g * (s * (1.0 - s)))?;
                 self.accumulate(a, g)?;
             }
             Op::Tanh(a) => {
-                let buf = self.take_buf();
-                let local = self.nodes[i].value.map_with(buf, |x| 1.0 - x * x);
-                let buf = self.take_buf();
-                let g = out_grad.hadamard_with(&local, buf)?;
-                self.give_buf(local.into_vec());
+                let g = self.grad_times(out_grad, i, |g, t| g * (1.0 - t * t))?;
                 self.accumulate(a, g)?;
             }
             Op::Relu(a) => {
-                let buf = self.take_buf();
-                let local = self.nodes[a.0]
-                    .value
-                    .map_with(buf, |x| if x > 0.0 { 1.0 } else { 0.0 });
-                let buf = self.take_buf();
-                let g = out_grad.hadamard_with(&local, buf)?;
-                self.give_buf(local.into_vec());
+                let g =
+                    self.grad_times(out_grad, a.0, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })?;
                 self.accumulate(a, g)?;
             }
             Op::Square(a) => {
-                let buf = self.take_buf();
-                let local = self.nodes[a.0].value.scale_with(2.0, buf);
-                let buf = self.take_buf();
-                let g = out_grad.hadamard_with(&local, buf)?;
-                self.give_buf(local.into_vec());
+                let g = self.grad_times(out_grad, a.0, |g, x| g * (2.0 * x))?;
                 self.accumulate(a, g)?;
             }
             Op::ConcatCols(ref parts) => {
+                let rows = out_grad.rows();
                 let mut offset = 0;
                 for &p in parts {
                     let w = self.nodes[p.0].value.cols();
-                    let rows = out_grad.rows();
-                    let buf = self.take_buf();
-                    let slice =
-                        Matrix::from_fn_with(rows, w, buf, |r, c| out_grad.get(r, offset + c));
-                    self.accumulate(p, slice)?;
+                    if self.needs_grad(p) {
+                        let mut buf = self.take_buf(rows * w);
+                        buf.clear();
+                        buf.reserve(rows * w);
+                        for r in 0..rows {
+                            buf.extend_from_slice(&out_grad.row(r)[offset..offset + w]);
+                        }
+                        let slice = Matrix::from_vec(rows, w, buf)?;
+                        self.accumulate(p, slice)?;
+                    }
                     offset += w;
                 }
             }
             Op::GatherRows { table, ref indices } => {
                 let tv = self.nodes[table.0].value.shape();
-                let buf = self.take_buf();
+                let buf = self.take_buf(tv.0 * tv.1);
                 let mut tg = Matrix::zeros_with(tv.0, tv.1, buf);
                 for (out_row, &idx) in indices.iter().enumerate() {
                     for (g, &og) in tg.row_mut(idx).iter_mut().zip(out_grad.row(out_row)) {
@@ -748,26 +842,32 @@ impl Graph {
                 self.accumulate(table, tg)?;
             }
             Op::RowSums(a) => {
-                let shape = self.nodes[a.0].value.shape();
-                let buf = self.take_buf();
-                let da = Matrix::from_fn_with(shape.0, shape.1, buf, |r, _| out_grad.get(r, 0));
+                // Every element of row `r` receives that row's gradient.
+                let (rows, cols) = self.nodes[a.0].value.shape();
+                let mut buf = self.take_buf(rows * cols);
+                buf.clear();
+                buf.reserve(rows * cols);
+                for r in 0..rows {
+                    buf.extend(std::iter::repeat_n(out_grad.get(r, 0), cols));
+                }
+                let da = Matrix::from_vec(rows, cols, buf)?;
                 self.accumulate(a, da)?;
             }
             Op::MeanAll(a) => {
                 let shape = self.nodes[a.0].value.shape();
                 let g = out_grad.get(0, 0) / (shape.0 * shape.1) as f64;
-                let buf = self.take_buf();
+                let buf = self.take_buf(shape.0 * shape.1);
                 let da = Matrix::from_fn_with(shape.0, shape.1, buf, |_, _| g);
                 self.accumulate(a, da)?;
             }
             Op::DropoutMask { input, ref mask } => {
-                let buf = self.take_buf();
+                let buf = self.take_buf(out_grad.len());
                 let g = out_grad.hadamard_with(mask, buf)?;
                 self.accumulate(input, g)?;
             }
             Op::SliceCols { input, start, len } => {
                 let shape = self.nodes[input.0].value.shape();
-                let buf = self.take_buf();
+                let buf = self.take_buf(shape.0 * shape.1);
                 let mut da = Matrix::zeros_with(shape.0, shape.1, buf);
                 for r in 0..out_grad.rows() {
                     for jj in 0..len {
@@ -778,7 +878,7 @@ impl Graph {
             }
             Op::RowSoftmax(a) => {
                 // dX_i = p_i ⊙ (dY_i − (dY_i · p_i) 1), per row.
-                let buf = self.take_buf();
+                let buf = self.take_buf(out_grad.len());
                 let p = &self.nodes[i].value;
                 let mut da = Matrix::zeros_with(p.rows(), p.cols(), buf);
                 for r in 0..p.rows() {
@@ -799,9 +899,46 @@ impl Graph {
         Ok(())
     }
 
+    /// `f(g, x)` for every element `g` of `out_grad` and the matching
+    /// element `x` of node `node`'s value, in one pass into an arena
+    /// buffer.
+    fn grad_times(
+        &mut self,
+        out_grad: &Matrix,
+        node: usize,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> Result<Matrix> {
+        let mut buf = self.take_buf(out_grad.len());
+        let x = &self.nodes[node].value;
+        if x.shape() != out_grad.shape() {
+            return Err(Error::ShapeMismatch {
+                op: "backward",
+                lhs: out_grad.shape(),
+                rhs: x.shape(),
+            });
+        }
+        buf.clear();
+        buf.extend(
+            out_grad
+                .as_slice()
+                .iter()
+                .zip(x.as_slice())
+                .map(|(&g, &x)| f(g, x)),
+        );
+        Matrix::from_vec(x.rows(), x.cols(), buf)
+    }
+
+    /// Copy of `items` for an op to keep, counted as one allocation.
+    fn counted_copy<T: Clone>(&mut self, items: &[T]) -> Vec<T> {
+        if !items.is_empty() {
+            self.allocs += 1;
+        }
+        items.to_vec()
+    }
+
     /// Copy of `m` backed by an arena buffer.
     fn pooled_clone(&mut self, m: &Matrix) -> Matrix {
-        let buf = self.take_buf();
+        let buf = self.take_buf(m.len());
         m.clone_with(buf)
     }
 
@@ -1104,6 +1241,62 @@ mod tests {
         g.backward(loss).unwrap();
         assert!(g.grad(unrelated).is_none());
         assert!(g.grad(x).is_some());
+    }
+
+    #[test]
+    fn constant_inputs_take_no_gradient_and_move_no_parameter_bit() {
+        // The same graph with its data inputs as leaves and as
+        // constants: parameter gradients are bit-identical, and neither
+        // a constant nor an op over constants alone gets a gradient.
+        let build = |g: &mut Graph, as_constant: bool| {
+            let mut input = |m: Matrix| {
+                if as_constant {
+                    g.constant(m)
+                } else {
+                    g.leaf(m)
+                }
+            };
+            let x = input(leaf_2x3());
+            let target = input(Matrix::from_vec(2, 2, vec![0.3, -0.1, 0.0, 0.8]).unwrap());
+            let scale = input(Matrix::filled(2, 2, 0.5));
+            let w = g.leaf(Matrix::from_vec(3, 2, vec![0.2, -0.4, 1.0, 0.3, -0.7, 0.9]).unwrap());
+            let b = g.leaf(Matrix::row_vector(&[0.1, -0.2]));
+            let xw = g.matmul(x, w).unwrap();
+            let pre = g.add_row_broadcast(xw, b).unwrap();
+            let s = g.sigmoid(pre);
+            let doubled = g.scale(scale, 2.0);
+            let weighted = g.mul(s, doubled).unwrap();
+            let loss = g.mse(weighted, target).unwrap();
+            g.backward(loss).unwrap();
+            [x, target, scale, doubled, w, b]
+        };
+        let mut leaves = Graph::new();
+        let l = build(&mut leaves, false);
+        let mut constants = Graph::new();
+        let c = build(&mut constants, true);
+        for i in 4..6 {
+            let (a, b) = (leaves.grad(l[i]).unwrap(), constants.grad(c[i]).unwrap());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "parameter {i}");
+        }
+        for &id in &c[..4] {
+            assert!(
+                constants.grad(id).is_none(),
+                "node {} got a gradient",
+                id.index()
+            );
+        }
+        for &id in &l[..4] {
+            assert!(leaves.grad(id).is_some());
+        }
+
+        // A loss over constants alone runs backward and yields nothing.
+        let mut g = Graph::new();
+        let k = g.constant(leaf_2x3());
+        let sq = g.square(k);
+        let loss = g.mean_all(sq).unwrap();
+        g.backward(loss).unwrap();
+        assert!(g.grad(loss).is_none() && g.grad(sq).is_none() && g.grad(k).is_none());
     }
 
     #[test]

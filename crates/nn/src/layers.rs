@@ -106,6 +106,19 @@ impl Dense {
 /// candidate `h'_t = f(y_t W_h + (r_t ⊙ h_{t-1}) U_h + b_h)` with `f`
 /// configurable (the paper empirically adopts ReLU),
 /// state `h_t = (1 - z_t) ⊙ h'_t + z_t ⊙ h_{t-1}`.
+///
+/// An unroll starts from no state rather than a zero matrix: with
+/// `h_0 = 0` every `h_0`-term of the first step is an exact zero, so
+/// that step is `z_1 = σ(y_1 W_z + b_z)`, `h_1 = (1 - z_1) ⊙ f(y_1 W_h +
+/// b_h)`, and its reset gate feeds nothing. Dropping those terms moves
+/// no output or parameter-gradient bit: `y W` is a GEMM chain from
+/// `+0.0`, never `-0.0`, so adding the zero products would return it
+/// unchanged, and every zero the backward pass leaves out would land on
+/// a parameter-gradient chain that starts at `+0.0`. With a tanh
+/// candidate and a saturated `z = 1`, `h_1` can be `-0.0` where the
+/// zero-state step gave `+0.0`; every consumer of a state (a GEMM chain,
+/// or a sum with a nonzero term) absorbs that sign, so outputs stay the
+/// same bits and states compare equal.
 #[derive(Debug, Clone)]
 pub struct GruCell {
     w_z: ParamId,
@@ -183,39 +196,68 @@ impl GruCell {
         self.in_dim
     }
 
-    /// One recurrence step: `x` is `B x in_dim`, `h` is `B x hidden`.
+    /// One recurrence step: `x` is `B x in_dim`, `h` is the previous
+    /// `B x hidden` state, or `None` for the first step of an unroll
+    /// (the zero state, whose terms are left out; see the type docs).
     ///
     /// Returns the new hidden state node, or an error on shape mismatch.
-    pub fn step(&self, graph: &mut Graph, bound: &Bound, x: NodeId, h: NodeId) -> Result<NodeId> {
+    pub fn step(
+        &self,
+        graph: &mut Graph,
+        bound: &Bound,
+        x: NodeId,
+        h: Option<NodeId>,
+    ) -> Result<NodeId> {
         let gate = |graph: &mut Graph, w, u, b| -> Result<NodeId> {
             let xw = graph.matmul(x, bound.node(w))?;
-            let hu = graph.matmul(h, bound.node(u))?;
-            let sum = graph.add(xw, hu)?;
+            let sum = match h {
+                Some(h) => {
+                    let hu = graph.matmul(h, bound.node(u))?;
+                    graph.add(xw, hu)?
+                }
+                None => xw,
+            };
             graph.add_row_broadcast(sum, bound.node(b))
         };
         let z_pre = gate(graph, self.w_z, self.u_z, self.b_z)?;
         let z = graph.sigmoid(z_pre);
-        let r_pre = gate(graph, self.w_r, self.u_r, self.b_r)?;
-        let r = graph.sigmoid(r_pre);
+        // The reset gate only scales `h`, so a first step has none.
+        let reset = match h {
+            Some(h) => {
+                let r_pre = gate(graph, self.w_r, self.u_r, self.b_r)?;
+                Some((graph.sigmoid(r_pre), h))
+            }
+            None => None,
+        };
 
         // Candidate: f(x W_h + (r ⊙ h) U_h + b_h).
         let xw = graph.matmul(x, bound.node(self.w_h))?;
-        let rh = graph.mul(r, h)?;
-        let rhu = graph.matmul(rh, bound.node(self.u_h))?;
-        let pre = graph.add(xw, rhu)?;
+        let pre = match reset {
+            Some((r, h)) => {
+                let rh = graph.mul(r, h)?;
+                let rhu = graph.matmul(rh, bound.node(self.u_h))?;
+                graph.add(xw, rhu)?
+            }
+            None => xw,
+        };
         let pre = graph.add_row_broadcast(pre, bound.node(self.b_h))?;
         let cand = activate(graph, pre, self.candidate);
 
         // h_t = (1 - z) ⊙ h' + z ⊙ h_{t-1}.
         let one_minus_z = graph.one_minus(z);
         let a = graph.mul(one_minus_z, cand)?;
-        let b = graph.mul(z, h)?;
-        graph.add(a, b)
+        match h {
+            Some(h) => {
+                let b = graph.mul(z, h)?;
+                graph.add(a, b)
+            }
+            None => Ok(a),
+        }
     }
 
     /// Unrolls the cell over a sequence of `B x in_dim` nodes (oldest
-    /// first), starting from a zero hidden state, and returns the final
-    /// hidden state (`v_ts` in the paper's Figure 2).
+    /// first), starting from no state (the zero state), and returns the
+    /// final hidden state (`v_ts` in the paper's Figure 2).
     ///
     /// Returns an error for an empty sequence or shape mismatch.
     pub fn run_sequence(
@@ -223,10 +265,9 @@ impl GruCell {
         graph: &mut Graph,
         bound: &Bound,
         steps: &[NodeId],
-        batch: usize,
     ) -> Result<NodeId> {
         Ok(*self
-            .run_sequence_all(graph, bound, steps, batch)?
+            .run_sequence_all(graph, bound, steps)?
             .last()
             // envlint: allow(no-panic) — run_sequence_all errors on an empty
             // unroll, so the returned state list is never empty.
@@ -242,17 +283,15 @@ impl GruCell {
         graph: &mut Graph,
         bound: &Bound,
         steps: &[NodeId],
-        batch: usize,
     ) -> Result<Vec<NodeId>> {
         if steps.is_empty() {
             return Err(Error::Empty {
                 routine: "gru run_sequence",
             });
         }
-        let mut h = graph.leaf(Matrix::zeros(batch, self.hidden));
-        let mut states = Vec::with_capacity(steps.len());
+        let mut states: Vec<NodeId> = Vec::with_capacity(steps.len());
         for &x in steps {
-            h = self.step(graph, bound, x, h)?;
+            let h = self.step(graph, bound, x, states.last().copied())?;
             states.push(h);
         }
         Ok(states)
@@ -310,7 +349,7 @@ impl AttentionPool {
         let alpha = graph.row_softmax(stacked);
 
         // Weighted sum: broadcast each alpha column across the state width.
-        let ones = graph.leaf(Matrix::filled(1, self.hidden, 1.0));
+        let ones = graph.constant(Matrix::filled(1, self.hidden, 1.0));
         let mut pooled: Option<NodeId> = None;
         for (t, &h) in states.iter().enumerate() {
             let a_col = graph.slice_cols(alpha, t, 1)?;
@@ -484,7 +523,7 @@ mod tests {
         let steps: Vec<NodeId> = (0..3)
             .map(|i| g.leaf(Matrix::filled(2, 1, i as f64 * 0.1)))
             .collect();
-        let h = cell.run_sequence(&mut g, &bound, &steps, 2).unwrap();
+        let h = cell.run_sequence(&mut g, &bound, &steps).unwrap();
         assert_eq!(g.value(h).shape(), (2, 5));
         assert!(g.value(h).is_finite());
     }
@@ -495,7 +534,7 @@ mod tests {
         let cell = GruCell::new(&mut ps, &mut rng(), "gru", 1, 3, Activation::Tanh).unwrap();
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
-        assert!(cell.run_sequence(&mut g, &bound, &[], 2).is_err());
+        assert!(cell.run_sequence(&mut g, &bound, &[]).is_err());
     }
 
     #[test]
@@ -509,7 +548,7 @@ mod tests {
                 .iter()
                 .map(|&v| g.leaf(Matrix::filled(1, 1, v)))
                 .collect();
-            let h = cell.run_sequence(&mut g, &bound, &steps, 1).unwrap();
+            let h = cell.run_sequence(&mut g, &bound, &steps).unwrap();
             g.value(h).clone()
         };
         // Mixed-sign inputs: with a ReLU candidate and uniform init, an
@@ -531,7 +570,7 @@ mod tests {
         let steps: Vec<NodeId> = (0..4)
             .map(|i| g.leaf(Matrix::filled(2, 1, 0.3 + 0.1 * i as f64)))
             .collect();
-        let h = cell.run_sequence(&mut g, &bound, &steps, 2).unwrap();
+        let h = cell.run_sequence(&mut g, &bound, &steps).unwrap();
         let target = g.leaf(Matrix::filled(2, 3, 0.5));
         let loss = g.mse(h, target).unwrap();
         g.backward(loss).unwrap();
@@ -593,7 +632,7 @@ mod tests {
         let steps: Vec<NodeId> = (0..5)
             .map(|i| g.leaf(Matrix::filled(3, 1, 0.1 * i as f64)))
             .collect();
-        let states = cell.run_sequence_all(&mut g, &bound, &steps, 3).unwrap();
+        let states = cell.run_sequence_all(&mut g, &bound, &steps).unwrap();
         assert_eq!(states.len(), 5);
         let pooled = pool.forward(&mut g, &bound, &states).unwrap();
         assert_eq!(g.value(pooled).shape(), (3, 4));
@@ -630,7 +669,7 @@ mod tests {
         let steps: Vec<NodeId> = (0..4)
             .map(|i| g.leaf(Matrix::filled(2, 1, 0.2 + 0.3 * i as f64)))
             .collect();
-        let states = cell.run_sequence_all(&mut g, &bound, &steps, 2).unwrap();
+        let states = cell.run_sequence_all(&mut g, &bound, &steps).unwrap();
         let pooled = pool.forward(&mut g, &bound, &states).unwrap();
         let target = g.leaf(Matrix::filled(2, 3, 0.4));
         let loss = g.mse(pooled, target).unwrap();

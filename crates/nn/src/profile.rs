@@ -1,8 +1,9 @@
 //! Op-level tape profiler.
 //!
 //! When enabled, every [`Graph`](crate::graph::Graph) op records its
-//! wall time, an estimated flop count, and an allocation estimate into a
-//! process-global accumulator, attributed to the op kind, the pass
+//! wall time, an estimated flop count, and the heap allocations it made
+//! (buffers the tape's arena could not supply, and the op's own index or
+//! part lists) into a process-global accumulator, attributed to the op kind, the pass
 //! (forward or backward), and the **graph site** — the node's index on
 //! the tape. Define-by-run training rebuilds the same tape every step,
 //! so a site aggregates the same logical op across all steps and epochs.
@@ -62,7 +63,8 @@ pub struct OpStat {
     /// Estimated floating-point operations (see [`crate::graph`] cost
     /// model).
     pub flops: u64,
-    /// Estimated matrix-buffer allocations.
+    /// Heap allocations the op made: output or gradient buffers the
+    /// tape's arena could not supply, and the op's own lists.
     pub allocs: u64,
     /// Total output elements produced (an allocation-volume proxy).
     pub out_elems: u64,
@@ -184,7 +186,8 @@ impl OpTimer {
     }
 }
 
-/// Static cost estimate attached to one op execution.
+/// Cost attached to one op execution: estimated flops, counted
+/// allocations, output size.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OpCost {
     pub(crate) flops: u64,
@@ -205,7 +208,7 @@ pub struct OpKindRow {
     pub wall_ns: u64,
     /// Total estimated flops.
     pub flops: u64,
-    /// Total estimated allocations.
+    /// Total counted allocations.
     pub allocs: u64,
     /// Number of distinct tape sites this kind appeared at.
     pub sites: usize,

@@ -164,6 +164,9 @@ pub struct EarlyStopping {
     min_delta: f64,
     best_loss: f64,
     best_params: Option<ParamSet>,
+    /// Epoch index of `best_params`.
+    best_epoch: usize,
+    epochs_seen: usize,
     epochs_without_improvement: usize,
 }
 
@@ -176,6 +179,8 @@ impl EarlyStopping {
             min_delta,
             best_loss: f64::INFINITY,
             best_params: None,
+            best_epoch: 0,
+            epochs_seen: 0,
             epochs_without_improvement: 0,
         }
     }
@@ -186,9 +191,11 @@ impl EarlyStopping {
     /// The parameter snapshot accompanying the best loss so far is kept for
     /// [`EarlyStopping::best`].
     pub fn observe(&mut self, val_loss: f64, params: &ParamSet) -> bool {
+        self.epochs_seen += 1;
         if val_loss < self.best_loss - self.min_delta {
             self.best_loss = val_loss;
             self.best_params = Some(params.clone());
+            self.best_epoch = self.epochs_seen - 1;
             self.epochs_without_improvement = 0;
         } else {
             self.epochs_without_improvement += 1;
@@ -205,6 +212,22 @@ impl EarlyStopping {
     /// observed.
     pub fn best(&self) -> Option<&ParamSet> {
         self.best_params.as_ref()
+    }
+
+    /// The epoch (0-based) whose parameters [`EarlyStopping::into_best`]
+    /// returns: the kept snapshot's, or the last observed epoch when no
+    /// loss improved on `+inf` by more than `min_delta` (all NaN, say),
+    /// since the fallback is then the current parameters. `0` before
+    /// any epoch.
+    ///
+    /// A later loss lower by at most `min_delta` is not an improvement,
+    /// so this is not always the epoch with the lowest loss.
+    pub fn best_epoch(&self) -> usize {
+        if self.best_params.is_some() {
+            self.best_epoch
+        } else {
+            self.epochs_seen.saturating_sub(1)
+        }
     }
 
     /// Consumes the monitor, returning the best snapshot (falling back to
@@ -269,6 +292,42 @@ mod tests {
         // 0.95 improves by less than min_delta → counts as no improvement.
         assert!(es.observe(0.95, &params_with(2.0)));
         assert_eq!(es.best_loss(), 1.0);
+    }
+
+    #[test]
+    fn best_epoch_names_the_kept_snapshot_not_the_lowest_loss() {
+        // The second loss is lower, but by less than min_delta, so the
+        // stopper keeps epoch 0's parameters and must report epoch 0.
+        let mut es = EarlyStopping::new(5, 1e-6);
+        assert!(!es.observe(0.5, &params_with(1.0)));
+        assert!(!es.observe(0.4999995, &params_with(2.0)));
+        assert_eq!(es.best_epoch(), 0);
+        let best = es.into_best(params_with(99.0));
+        assert_eq!(best.value(best.find("w").unwrap()).get(0, 0), 1.0);
+    }
+
+    #[test]
+    fn best_epoch_is_the_last_epoch_when_every_loss_is_nan() {
+        // No NaN loss is an improvement, so no snapshot is kept and the
+        // current (last epoch's) parameters are what training keeps.
+        let mut es = EarlyStopping::new(5, 1e-6);
+        assert_eq!(es.best_epoch(), 0);
+        for epoch in 0..3 {
+            assert!(!es.observe(f64::NAN, &params_with(epoch as f64)));
+        }
+        assert!(es.best().is_none());
+        assert_eq!(es.best_epoch(), 2);
+        let kept = es.into_best(params_with(2.0));
+        assert_eq!(kept.value(kept.find("w").unwrap()).get(0, 0), 2.0);
+    }
+
+    #[test]
+    fn best_epoch_follows_improvements() {
+        let mut es = EarlyStopping::new(5, 0.0);
+        es.observe(1.0, &params_with(1.0));
+        es.observe(0.5, &params_with(2.0));
+        es.observe(0.7, &params_with(3.0));
+        assert_eq!(es.best_epoch(), 1);
     }
 
     #[test]

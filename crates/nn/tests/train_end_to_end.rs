@@ -89,9 +89,7 @@ fn gru_learns_order_dependent_target() {
                 g.leaf(Matrix::col_vector(&col))
             })
             .collect();
-        let h = cell
-            .run_sequence(&mut g, &bound, &steps, idx.len())
-            .unwrap();
+        let h = cell.run_sequence(&mut g, &bound, &steps).unwrap();
         let o = head.forward(&mut g, &bound, h).unwrap();
         (g, o)
     };
@@ -114,9 +112,7 @@ fn gru_learns_order_dependent_target() {
                     g.leaf(Matrix::col_vector(&col))
                 })
                 .collect();
-            let h = cell
-                .run_sequence(&mut g, &bound, &steps, batch.len())
-                .unwrap();
+            let h = cell.run_sequence(&mut g, &bound, &steps).unwrap();
             let o = head.forward(&mut g, &bound, h).unwrap();
             let t = g.leaf(Matrix::col_vector(&by));
             let loss = g.mse(o, t).unwrap();

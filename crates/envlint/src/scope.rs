@@ -101,14 +101,7 @@ pub struct ScopeInfo {
 /// `par` and thread entry points: a guard live across one of these is
 /// held while a job may need the same lock (deadlock when the caller
 /// runs or waits for that job, or serialization of every sibling job).
-const SPAWN_CALLS: &[&str] = &[
-    "spawn",
-    "spawn_named",
-    "par_for_chunks",
-    "par_map",
-    "par_map_reduce",
-    "append_batch",
-];
+const SPAWN_CALLS: &[&str] = &["spawn", "spawn_named", "par_map", "par_map_reduce"];
 
 /// Blocking file/network identifiers: called with a guard live they
 /// serialize the whole lock domain behind device latency.
@@ -581,7 +574,7 @@ mod tests {
 fn f() {
     par::scope(|s| { s.spawn(move || {}); });
     std::thread::spawn(|| {});
-    par_for_chunks(data, 4, |_, _| {});
+    par_map(items, |_| {});
     let text = fs::read_to_string(path);
     File::open(path);
     TcpStream::connect(addr);
@@ -590,10 +583,7 @@ fn f() {
         let i = info(src);
         let toks = lex(src).tokens;
         let spawn_names: Vec<&str> = i.spawns.iter().map(|&s| toks[s].text.as_str()).collect();
-        assert_eq!(
-            spawn_names,
-            vec!["scope", "spawn", "spawn", "par_for_chunks"]
-        );
+        assert_eq!(spawn_names, vec!["scope", "spawn", "spawn", "par_map"]);
         let io_names: Vec<&str> = i.io_calls.iter().map(|&s| toks[s].text.as_str()).collect();
         assert_eq!(io_names, vec!["read_to_string", "open", "TcpStream"]);
     }

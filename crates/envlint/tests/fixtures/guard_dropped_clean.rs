@@ -40,7 +40,7 @@ fn sequential_blocks_are_not_nested(a: &Mutex<A>, b: &Mutex<B>) {
     }
 }
 
-fn temporary_is_not_a_guard(m: &Mutex<Vec<u64>>, data: &[f64]) {
+fn temporary_is_not_a_guard(m: &Mutex<Vec<u64>>, data: Vec<f64>) {
     let n = m.lock().len();
-    par_for_chunks(data, n, |_chunk, _base| step());
+    par_map(data, |_item| step(n));
 }

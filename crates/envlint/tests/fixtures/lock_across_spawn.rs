@@ -9,9 +9,9 @@ fn guard_across_scope(state: &Mutex<State>) {
     touch(&g);
 }
 
-fn guard_across_par_for_chunks(counts: &Mutex<Vec<u64>>, data: &[f64]) {
+fn guard_across_par_map(counts: &Mutex<Vec<u64>>, data: Vec<f64>) {
     let tally = counts.lock();
-    par_for_chunks(data, 64, |_chunk, _base| step());
+    par_map(data, |_item| step());
     touch(&tally);
 }
 

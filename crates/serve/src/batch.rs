@@ -1,21 +1,19 @@
 //! Request batcher: coalesces concurrent same-environment predictions.
 //!
-//! # Algorithm (leader/follower)
+//! # Algorithm (leader/follower, natural batching)
 //!
 //! Each environment has one queue. The first submission to find the
 //! queue leaderless appoints itself **leader**; everyone else is a
 //! **follower** that appends its rows and sleeps on a per-submission
-//! result slot. The leader holds the batch window open — a bounded
-//! `wait_timeout` on the queue's condvar — and is woken early the
-//! moment the queued row count reaches `max_rows`. It then takes the
-//! whole queue (its own rows included), clears the leader flag so the
-//! next arrival starts the *next* batch while this one computes
-//! (pipelining), runs one batched `Model::predict`, and distributes the
-//! per-row results to each submission's slot.
-//!
-//! Under no concurrency the window costs nothing beyond its timeout;
-//! under storm the window fills to `max_rows` and the wait is cut
-//! short, so the knobs trade tail latency against GEMM batch size.
+//! result slot. A leader whose environment has no batch executing runs
+//! at once. Otherwise it waits on the queue's condvar until that
+//! environment's running batch finishes or `max_rows` rows are queued,
+//! so requests coalesce when they arrive while their environment's
+//! batch runs, and no request ever waits for a clock. The
+//! leader then takes the whole queue (its own rows included), clears
+//! the leader flag so the next arrival starts the *next* batch while
+//! this one computes (pipelining), runs one batched `Model::predict`,
+//! and distributes the per-row results to each submission's slot.
 //!
 //! Batching is invisible in the outputs: `Model::predict` is
 //! row-independent, so a row's prediction does not depend on which
@@ -24,7 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use env2vec::dataframe::Dataframe;
 use env2vec_linalg::Matrix;
@@ -41,18 +39,14 @@ const BATCH_ROWS_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0
 /// Batching knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOptions {
-    /// How long a leader holds the window open for followers.
-    pub window: Duration,
-    /// Row count that closes the window early.
+    /// Queued row count at which a leader stops waiting for its
+    /// environment's running batch and starts the next one alongside it.
     pub max_rows: usize,
 }
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        BatchOptions {
-            window: Duration::from_micros(200),
-            max_rows: 256,
-        }
+        BatchOptions { max_rows: 256 }
     }
 }
 
@@ -69,8 +63,8 @@ pub struct BatchTrace {
     pub batch_rows: u64,
     /// Number of requests coalesced into that batch.
     pub batch_requests: u64,
-    /// Whether this submission held the window open (leader) or rode
-    /// along (follower).
+    /// Whether this submission ran the batch (leader) or rode along
+    /// (follower).
     pub leader: bool,
 }
 
@@ -117,12 +111,15 @@ struct QueueState {
     pending: Vec<Submission>,
     rows: usize,
     has_leader: bool,
+    /// Batches taken off this queue whose `execute` has not returned.
+    running: usize,
 }
 
 /// One environment's coalescing queue.
 struct EnvQueue {
     state: TrackedMutex<QueueState>,
-    /// Wakes the leader early when `max_rows` is reached.
+    /// Wakes a waiting leader when `max_rows` rows are queued or a
+    /// running batch finishes.
     filled: Condvar,
 }
 
@@ -135,6 +132,7 @@ impl EnvQueue {
                     pending: Vec::new(),
                     rows: 0,
                     has_leader: false,
+                    running: 0,
                 },
             ),
             filled: Condvar::new(),
@@ -231,23 +229,18 @@ impl Batcher {
         if is_leader {
             let batch = {
                 let mut state = queue.state.lock();
-                loop {
-                    if state.rows >= self.opts.max_rows {
-                        break;
-                    }
-                    let (reacquired, timed_out) =
-                        locks::wait_timeout(&queue.filled, state, self.opts.window);
-                    state = reacquired;
-                    if timed_out {
-                        break;
-                    }
+                while state.running > 0 && state.rows < self.opts.max_rows {
+                    state = locks::wait(&queue.filled, state);
                 }
                 let pending = std::mem::take(&mut state.pending);
                 state.rows = 0;
                 state.has_leader = false;
+                state.running += 1;
                 pending
             };
             self.execute(&env, batch);
+            queue.state.lock().running -= 1;
+            queue.filled.notify_all();
         }
         let metrics = env2vec_obs::metrics();
         if is_leader {
@@ -265,16 +258,13 @@ impl Batcher {
     fn execute(&self, env: &str, batch: Vec<Submission>) {
         let metrics = env2vec_obs::metrics();
         // Batch occupancy, observed once per batch regardless of
-        // outcome: how full did the window get, and how long did its
-        // members wait.
+        // outcome: how many rows it carried, and how long its members
+        // waited.
         let queued_rows: usize = batch.iter().map(|s| s.request.rows.len()).sum();
         let batch_requests = batch.len() as u64;
         metrics
             .histogram_with_bounds("serve_batch_rows", &BATCH_ROWS_BOUNDS)
             .observe(queued_rows as f64);
-        metrics
-            .gauge("serve_batch_window_fill_ratio")
-            .set(queued_rows as f64 / self.opts.max_rows.max(1) as f64);
         let executed = Instant::now();
         let trace_of = |s: &Submission| BatchTrace {
             wait_seconds: executed.duration_since(s.enqueued).as_secs_f64(),
@@ -423,6 +413,7 @@ mod tests {
     use env2vec::serialize::save_model;
     use env2vec::vocab::EmVocabulary;
     use env2vec_telemetry::registry::RegistryHub;
+    use std::time::Duration;
 
     fn published_hub(env: &str) -> (Arc<RegistryHub>, Env2VecModel) {
         let mut vocab = EmVocabulary::telecom();
@@ -455,13 +446,7 @@ mod tests {
     #[test]
     fn single_request_predicts_through_the_batcher() {
         let (hub, model) = published_hub("edge");
-        let batcher = Batcher::new(
-            Arc::new(ModelCache::new(hub)),
-            BatchOptions {
-                window: Duration::from_micros(50),
-                max_rows: 8,
-            },
-        );
+        let batcher = Batcher::new(Arc::new(ModelCache::new(hub)), BatchOptions { max_rows: 8 });
         let (version, preds) = batcher
             .predict(request("edge", vec![row(0), row(1)]))
             .expect("predict");
@@ -481,20 +466,34 @@ mod tests {
         }
     }
 
+    /// Marks `env` as having a batch executing, as a leader inside
+    /// `execute` does, until [`release`].
+    fn hold(batcher: &Batcher, env: &str) {
+        batcher.queue(env).state.lock().running += 1;
+    }
+
+    /// Ends a [`hold`] the way a finished batch does.
+    fn release(batcher: &Batcher, env: &str) {
+        let queue = batcher.queue(env);
+        queue.state.lock().running -= 1;
+        queue.filled.notify_all();
+    }
+
+    fn running(batcher: &Batcher, env: &str) -> usize {
+        batcher.queue(env).state.lock().running
+    }
+
     #[test]
     fn concurrent_requests_coalesce_and_stay_bit_identical() {
         let (hub, model) = published_hub("edge");
         let batcher = Arc::new(Batcher::new(
             Arc::new(ModelCache::new(hub)),
-            BatchOptions {
-                // The window never expires in the test: the leader
-                // leaves only when all 8 submissions (32 rows) are
-                // queued, so the batch is the same on every run.
-                window: Duration::from_secs(120),
-                max_rows: 32,
-            },
+            BatchOptions { max_rows: 32 },
         ));
-        let started = Instant::now();
+        // With `edge` held running, the leader leaves only when all 8
+        // submissions (32 rows) are queued, so the batch is the same on
+        // every run.
+        hold(&batcher, "edge");
         let mut handles = Vec::new();
         for t in 0..8usize {
             let batcher = Arc::clone(&batcher);
@@ -528,22 +527,61 @@ mod tests {
                 );
             }
         }
-        assert!(
-            started.elapsed() < Duration::from_secs(60),
-            "reaching max_rows must close the window early"
-        );
+        release(&batcher, "edge");
+        assert_eq!(running(&batcher, "edge"), 0);
+    }
+
+    #[test]
+    fn a_leader_waits_only_for_its_envs_running_batch() {
+        let (hub, model) = published_hub("edge");
+        hub.registry("core")
+            .publish("t", save_model(&model).into_bytes());
+        let batcher = Arc::new(Batcher::new(
+            Arc::new(ModelCache::new(hub)),
+            BatchOptions::default(),
+        ));
+        hold(&batcher, "edge");
+        let handles: Vec<_> = (0..3usize)
+            .map(|t| {
+                let batcher = Arc::clone(&batcher);
+                std::thread::spawn(move || {
+                    batcher.predict_traced(request("edge", vec![row(t)]), None)
+                })
+            })
+            .collect();
+        // Polls queue state, not a clock: the deadline only turns a hang
+        // into a failure.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while batcher.queue("edge").state.lock().pending.len() < 3 {
+            assert!(
+                Instant::now() < deadline,
+                "the submissions never queued together"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Another env in the same hub runs at once while `edge` waits.
+        let (version, preds) = batcher
+            .predict(request("core", vec![row(5)]))
+            .expect("core predict");
+        assert_eq!((version, preds.len()), (1, 1));
+        assert_eq!(batcher.queue("edge").state.lock().pending.len(), 3);
+        assert!(handles.iter().all(|h| !h.is_finished()));
+        release(&batcher, "edge");
+        let mut leaders = 0;
+        for handle in handles {
+            let (result, trace) = handle.join().expect("thread");
+            assert_eq!(result.expect("predict").1.len(), 1);
+            assert_eq!((trace.batch_requests, trace.batch_rows), (3, 3));
+            leaders += usize::from(trace.leader);
+        }
+        assert_eq!(leaders, 1);
+        assert_eq!(running(&batcher, "edge"), 0);
     }
 
     #[test]
     fn traced_predictions_report_batch_occupancy_and_role() {
         let (hub, model) = published_hub("edge");
-        let batcher = Batcher::new(
-            Arc::new(ModelCache::new(hub)),
-            BatchOptions {
-                window: Duration::from_micros(50),
-                max_rows: 8,
-            },
-        );
+        let batcher = Batcher::new(Arc::new(ModelCache::new(hub)), BatchOptions { max_rows: 8 });
         let ctx = TraceContext::from_seed(7, true);
         let (result, trace) =
             batcher.predict_traced(request("edge", vec![row(0), row(1)]), Some(ctx));
@@ -566,7 +604,14 @@ mod tests {
     #[test]
     fn invalid_submissions_fail_alone_without_poisoning_the_batch() {
         let (hub, _) = published_hub("edge");
+        // A registry with nothing published yet.
+        hub.registry("empty");
         let batcher = Batcher::new(Arc::new(ModelCache::new(hub)), BatchOptions::default());
+        assert!(matches!(
+            batcher.predict(request("empty", vec![row(0)])),
+            Err(ServeError::NoModelPublished(_))
+        ));
+        assert_eq!(running(&batcher, "empty"), 0);
         // Wrong cf width.
         let bad = PredictRequest {
             env: "edge".to_string(),
@@ -580,6 +625,7 @@ mod tests {
             batcher.predict(bad),
             Err(ServeError::InvalidRequest(_))
         ));
+        assert_eq!(running(&batcher, "edge"), 0);
         // Wrong em width.
         let bad_em = PredictRequest {
             env: "edge".to_string(),
@@ -590,6 +636,7 @@ mod tests {
             batcher.predict(bad_em),
             Err(ServeError::InvalidRequest(_))
         ));
+        assert_eq!(running(&batcher, "edge"), 0);
         // Non-finite input.
         let nan = PredictRequest {
             env: "edge".to_string(),
@@ -603,6 +650,7 @@ mod tests {
             batcher.predict(nan),
             Err(ServeError::InvalidRequest(_))
         ));
+        assert_eq!(running(&batcher, "edge"), 0);
         // Empty rows.
         assert!(matches!(
             batcher.predict(request("edge", Vec::new())),

@@ -60,8 +60,9 @@ pub enum HttpError {
     /// Peer closed the connection mid-request; nothing to answer.
     Disconnected,
     /// The read timed out. `idle` is true when no request bytes had
-    /// arrived yet (a quiet keep-alive connection — retry), false when a
-    /// request was cut off mid-transfer.
+    /// arrived yet (a quiet keep-alive connection), false when a partial
+    /// request is buffered. Either way nothing was consumed, so the
+    /// caller may read again.
     Timeout {
         /// No partial request buffered when the timer fired.
         idle: bool,
@@ -141,8 +142,8 @@ impl<R: Read> HttpConn<R> {
     /// (or the transport's own read timeout fires).
     ///
     /// Nothing is consumed from the buffer until the whole request —
-    /// head *and* body — has arrived, so a `Timeout { idle: true }`
-    /// always means the connection can simply be polled again.
+    /// head *and* body — has arrived, so after a `Timeout` the
+    /// connection can simply be polled again.
     pub fn read_request(&mut self) -> Result<ReadOutcome, HttpError> {
         // 1. Accumulate until the head/body split is buffered.
         let head_end = loop {

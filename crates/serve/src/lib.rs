@@ -9,12 +9,12 @@
 //! - [`model_cache`] — per-environment deserialised-model cache fed from
 //!   [`env2vec_telemetry::registry::RegistryHub`], invalidated by the
 //!   registry's lock-free `latest_version` probe;
-//! - [`batch`] — the request coalescer: concurrent predictions for the
-//!   same environment merge into one batched `Model::predict` (one GEMM
-//!   per layer instead of one per request) inside a time/size-bounded
-//!   window;
-//! - [`server`] — the TCP accept loop and connection handlers, each on a
-//!   `par::spawn_detached` thread of its own;
+//! - [`batch`] — the request coalescer: predictions for an environment
+//!   that arrive while its batch runs merge into its next batched
+//!   `Model::predict` (one GEMM per layer instead of one per request);
+//!   a request that finds its environment idle runs at once;
+//! - [`server`] — the blocking TCP accept loop and connection handlers,
+//!   each on a `par::spawn_detached` thread of its own;
 //! - [`loadgen`] — closed- and open-loop request storms with client-side
 //!   latency capture;
 //! - [`trace_store`] — tail-sampled retention of completed request

@@ -1,11 +1,13 @@
 //! TCP accept loop and per-connection handlers.
 //!
-//! The listener runs non-blocking and is polled from one
-//! `par::spawn_detached` thread; each accepted connection is a thread of
-//! its own, so open connections never hold back scoped training or bench
-//! work. Handlers use a short socket read timeout so a quiet keep-alive
-//! connection re-checks the shutdown flag every ~50 ms instead of
-//! blocking forever.
+//! The listener blocks in `accept` on one `par::spawn_detached` thread,
+//! and [`Server::shutdown`] wakes it with one loopback connection. Each
+//! accepted connection is a thread of its own, so open connections never
+//! hold back scoped training or bench work. Handlers use a short socket
+//! read timeout so a connection re-checks the shutdown flag every ~50 ms
+//! instead of blocking forever. A request stalled mid-transfer keeps
+//! its connection for a few seconds: one lost TCP segment alone costs a
+//! 200 ms retransmission.
 //!
 //! Routes: `POST /predict` (batched inference), `GET /metrics`
 //! (Prometheus text format), `GET /healthz`, `GET /trace/{id}` and
@@ -15,7 +17,7 @@
 //! `traceparent` header when one parses, freshly minted (unsampled)
 //! otherwise — a malformed header silently falls back, never a 400.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,8 +33,12 @@ use crate::{ErrorResponse, PredictRequest, PredictResponse};
 
 /// How long a connection read blocks before re-checking shutdown.
 const READ_POLL: Duration = Duration::from_millis(50);
-/// Accept-loop sleep when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// How long a partial request may stall, counted from its first read
+/// timeout, before its connection is closed without a response.
+const STALL_LIMIT: Duration = Duration::from_secs(2);
+/// Accept-loop back-off after a failed `accept` (e.g. out of file
+/// descriptors), so a persistent error does not spin the thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -78,7 +84,6 @@ impl Server {
     /// the listener is accepting.
     pub fn start(hub: Arc<RegistryHub>, opts: ServerOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(opts.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             batcher: Batcher::new(Arc::new(ModelCache::new(hub)), opts.batch),
@@ -119,8 +124,19 @@ impl Server {
     /// connection handlers to wind down.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        // Accept loop notices within ACCEPT_POLL; handlers within
-        // READ_POLL. 100 polls ≫ both, so a hang here means a bug.
+        // Wake the accept loop from its blocking `accept`; it checks the
+        // flag before serving what it accepted. An unspecified bind
+        // address is reached over loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        // Handlers notice within READ_POLL. 100 polls ≫ that, so a hang
+        // here means a bug.
         for _ in 0..100 {
             if self.inner.stopped.load(Ordering::Acquire)
                 && self.inner.open_connections.load(Ordering::Acquire) == 0
@@ -134,8 +150,12 @@ impl Server {
 
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     let metrics = env2vec_obs::metrics();
-    while !inner.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 metrics.counter("serve_connections_total").inc();
                 let conn_inner = Arc::clone(&inner);
@@ -146,15 +166,14 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                     metrics.counter("serve_accept_errors_total").inc();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
             Err(_) => {
                 metrics.counter("serve_accept_errors_total").inc();
-                std::thread::sleep(ACCEPT_POLL);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }
+    // Closed before `stopped` is set, so a shut-down port refuses.
+    drop(listener);
     inner.stopped.store(true, Ordering::Release);
 }
 
@@ -190,12 +209,15 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
     }
     let metrics = env2vec_obs::metrics();
     let mut conn = HttpConn::new(stream);
+    // When the partial request now buffered first timed out.
+    let mut stalled_since: Option<Instant> = None;
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
         match conn.read_request() {
             Ok(ReadOutcome::Request(request)) => {
+                stalled_since = None;
                 let started = Instant::now();
                 // W3C traceparent propagation: a parsed header yields a
                 // child context (same trace id, new span id); absent or
@@ -260,11 +282,16 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
             }
             Ok(ReadOutcome::Closed) => return,
             // Quiet keep-alive connection: poll again (and re-check
-            // shutdown). A timeout mid-request is a stalled client.
+            // shutdown).
             Err(HttpError::Timeout { idle: true }) => continue,
+            // A partial request: poll again until it has stalled for
+            // STALL_LIMIT, then drop the client.
             Err(HttpError::Timeout { idle: false }) => {
-                metrics.counter("serve_errors_total").inc();
-                return;
+                let since = *stalled_since.get_or_insert_with(Instant::now);
+                if since.elapsed() >= STALL_LIMIT {
+                    metrics.counter("serve_errors_total").inc();
+                    return;
+                }
             }
             Err(HttpError::BadRequest(what)) => {
                 metrics.counter("serve_errors_total").inc();

@@ -3,9 +3,9 @@
 //! version invalidation, and graceful shutdown.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use env2vec::config::Env2VecConfig;
 use env2vec::dataframe::Dataframe;
@@ -13,7 +13,7 @@ use env2vec::model::Env2VecModel;
 use env2vec::serialize::save_model;
 use env2vec::vocab::EmVocabulary;
 use env2vec_linalg::Matrix;
-use env2vec_serve::http::HttpConn;
+use env2vec_serve::http::{HttpConn, HttpError};
 use env2vec_serve::loadgen::{self, LoadgenOptions, Pacing};
 use env2vec_serve::server::{Server, ServerOptions};
 use env2vec_serve::{PredictRequest, PredictResponse, PredictRow};
@@ -292,6 +292,73 @@ fn mid_request_disconnects_leave_the_server_serviceable() {
 }
 
 #[test]
+fn a_request_paused_mid_transfer_is_still_answered() {
+    let (server, model, _hub) = served("edge");
+    let mut conn = connect(&server);
+    let body = serde_json::to_string(&request("edge", vec![row(4)])).expect("serialise");
+    let head = format!(
+        "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    send_raw(&mut conn, head.as_bytes());
+    // Several read polls long, as one lost segment's retransmission is.
+    std::thread::sleep(Duration::from_millis(300));
+    send_raw(&mut conn, body.as_bytes());
+    let response = conn.read_response().expect("response");
+    assert_eq!(response.status, 200);
+    let parsed: PredictResponse =
+        serde_json::from_str(std::str::from_utf8(&response.body).expect("utf8")).expect("json");
+    assert_eq!(
+        parsed.predictions[0].to_bits(),
+        solo_predict(&model, &row(4)).to_bits()
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_request_stalled_past_the_limit_is_closed_without_a_response() {
+    let (server, _model, _hub) = served("edge");
+    let mut conn = connect(&server);
+    send_raw(
+        &mut conn,
+        b"POST /predict HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"env\"",
+    );
+    // `connect`'s 10 s read timeout outlasts the server's stall limit.
+    let read = conn.read_response();
+    assert!(
+        matches!(read, Err(HttpError::Disconnected)),
+        "a stalled request must be closed unanswered, got {read:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_delay() {
+    let (server, _model, _hub) = served("edge");
+    let mut round_trips: Vec<Duration> = (0..200)
+        .map(|_| {
+            let started = Instant::now();
+            let mut conn = connect(&server);
+            send_raw(
+                &mut conn,
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            );
+            assert_eq!(conn.read_response().expect("response").status, 200);
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    // The median, so one preempted connection cannot decide it; an
+    // accept loop that sleeps between polls costs about 1 ms here.
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_micros(500),
+        "median fresh-connection round trip {median:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn loadgen_closed_loop_storm_returns_bit_identical_rows() {
     let (server, model, _hub) = served("edge");
     let opts = LoadgenOptions {
@@ -505,7 +572,6 @@ fn metrics_expose_batcher_occupancy_and_exemplars() {
     assert_eq!(status, 200);
     for needle in [
         "serve_batch_rows_bucket",
-        "serve_batch_window_fill_ratio",
         "serve_batch_leader_total",
         "serve_uptime_seconds",
     ] {
@@ -532,8 +598,32 @@ fn shutdown_drains_connections_and_stops_accepting() {
     let addr = server.addr();
     server.shutdown();
     assert_eq!(server.open_connections(), 0);
-    // New connections must no longer be served: either refused outright
-    // or never answered.
+    assert_not_serving(addr);
+}
+
+#[test]
+fn shutdown_of_a_server_that_never_had_a_client_is_prompt() {
+    for ip in [[127, 0, 0, 1], [0, 0, 0, 0]] {
+        let opts = ServerOptions {
+            addr: SocketAddr::from((ip, 0)),
+            ..ServerOptions::default()
+        };
+        let server = Server::start(Arc::new(RegistryHub::new()), opts).expect("server");
+        let started = Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_millis(2500),
+            "shutdown of an idle server bound to {:?} took {:?}",
+            ip,
+            started.elapsed()
+        );
+        assert_not_serving(SocketAddr::from(([127, 0, 0, 1], server.addr().port())));
+    }
+}
+
+/// New connections to `addr` are either refused outright or never
+/// answered.
+fn assert_not_serving(addr: SocketAddr) {
     if let Ok(stream) = TcpStream::connect(addr) {
         stream
             .set_read_timeout(Some(Duration::from_millis(300)))

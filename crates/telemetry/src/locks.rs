@@ -32,7 +32,7 @@
 //! interleaving never happens in the test run: it needs each nesting
 //! order to be exercised once, on any thread, not the actual collision.
 
-pub use imp::{wait, wait_timeout, TrackedMutex, TrackedRwLock};
+pub use imp::{wait, TrackedMutex, TrackedRwLock};
 
 #[cfg(not(feature = "lock-sanitizer"))]
 mod imp {
@@ -90,21 +90,6 @@ mod imp {
     #[inline]
     pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Like [`wait`] with a deadline: returns the reacquired guard and
-    /// whether the wait timed out (spurious wakes still return `false`;
-    /// callers must re-check their predicate either way).
-    #[inline]
-    pub fn wait_timeout<'a, T>(
-        cv: &Condvar,
-        guard: MutexGuard<'a, T>,
-        timeout: std::time::Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let (guard, result) = cv
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        (guard, result.timed_out())
     }
 
     // Opaque Debug (no lock taken, no `T: Debug` bound) so containers
@@ -448,25 +433,5 @@ mod imp {
         on_acquire(guard.id, guard.name);
         guard.inner = Some(woken);
         guard
-    }
-
-    /// Like [`wait`] with a deadline: returns the reacquired guard and
-    /// whether the wait timed out. Same sanitizer bookkeeping — the id
-    /// leaves the held stack while the thread sleeps.
-    pub fn wait_timeout<'a, T>(
-        cv: &Condvar,
-        mut guard: TrackedMutexGuard<'a, T>,
-        timeout: std::time::Duration,
-    ) -> (TrackedMutexGuard<'a, T>, bool) {
-        // envlint: allow(no-panic) — `inner` is always present on a
-        // caller-supplied guard; only wait/wait_timeout vacate it.
-        let inner = guard.inner.take().expect("guard present entering wait");
-        on_release(guard.id);
-        let (woken, result) = cv
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        on_acquire(guard.id, guard.name);
-        guard.inner = Some(woken);
-        (guard, result.timed_out())
     }
 }

@@ -33,10 +33,10 @@
 //! exposition format; `--verbose` streams structured logfmt progress to
 //! stderr. Every run ends with a timing summary table.
 //!
-//! Introspection: the registry is self-scraped into the telemetry TSDB
-//! under the reserved `__introspect` environment after every experiment,
-//! and the closed-loop self-monitor (threshold rules + the repo's own
-//! HTM detector) runs over those series at the end of the run.
+//! Introspection: training files each model's per-epoch curves into the
+//! telemetry TSDB under the reserved `__introspect` environment, and the
+//! closed-loop self-monitor (threshold rules + the repo's own HTM
+//! detector) runs over those series at the end of the run.
 //! `--profile-ops DIR` enables the op-level tape profiler and writes a
 //! ranked hot-op table (`hot_ops.txt`) plus flamegraph-ready collapsed
 //! stacks (`tape.collapsed`).
@@ -208,25 +208,6 @@ fn main() -> ExitCode {
         None
     };
 
-    // Self-scrape: file the registry's state into the telemetry TSDB
-    // under the reserved `__introspect` environment at deterministic
-    // logical timestamps — once after setup, then after each experiment.
-    // The TSDB's own stats are published as gauges first, so the engine's
-    // health rides its own storage.
-    let self_scrape = || {
-        env2vec_obs::tsdb::publish_stats(
-            env2vec_obs::metrics(),
-            &env2vec_introspect::global_db().stats(),
-        );
-        env2vec_obs::scrape_into_with(
-            env2vec_obs::metrics(),
-            env2vec_introspect::global_db(),
-            env2vec_introspect::next_tick(),
-            &env2vec_introspect::introspect_labels(),
-        );
-    };
-    self_scrape();
-
     let mut timings: Vec<ExperimentTiming> = Vec::new();
     for name in &chosen {
         let t0 = Instant::now();
@@ -270,7 +251,6 @@ fn main() -> ExitCode {
                     name: name.clone(),
                     wall_seconds: wall,
                 });
-                self_scrape();
             }
             Err(e) => {
                 eprintln!("{name} failed: {e}");
@@ -292,9 +272,8 @@ fn main() -> ExitCode {
         timings.iter().map(|t| t.wall_seconds).sum::<f64>() + setup_seconds.unwrap_or(0.0);
     println!("  {:<12} {:>9.2} s", "total", total);
 
-    // Final scrape, then the closed-loop self-monitor over everything
-    // this run filed under `__introspect`.
-    self_scrape();
+    // The closed-loop self-monitor over the training curves this run
+    // filed under `__introspect`.
     let alarms = env2vec_introspect::global_alarms();
     let raised = env2vec_introspect::SelfMonitor::new(env2vec_introspect::global_db()).run(alarms);
     if raised > 0 {
@@ -306,8 +285,8 @@ fn main() -> ExitCode {
         println!("\nself-monitor: no alarms — run health nominal");
     }
 
+    let tsdb_stats = env2vec_introspect::global_db().stats();
     if want_report {
-        let tsdb_stats = env2vec_introspect::global_db().stats();
         println!(
             "\n{}",
             env2vec_introspect::report::render(
@@ -330,11 +309,12 @@ fn main() -> ExitCode {
         );
     }
     if let Some(path) = metrics_out {
+        env2vec_obs::tsdb::publish_stats(env2vec_obs::metrics(), &tsdb_stats);
         let mut text = env2vec_obs::prometheus::render(env2vec_obs::metrics());
         // The TSDB's own latency histograms live outside the registry;
         // append them so the exposition file is the complete picture.
         text.push_str(&env2vec_obs::prometheus::render_snapshot(
-            &env2vec_obs::tsdb::latency_samples(&env2vec_introspect::global_db().stats()),
+            &env2vec_obs::tsdb::latency_samples(&tsdb_stats),
         ));
         if let Err(e) = std::fs::write(&path, text) {
             eprintln!("failed to write metrics to {path}: {e}");

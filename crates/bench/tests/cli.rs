@@ -1,5 +1,6 @@
 //! `repro`'s argument handling, run as a child process on `table3`
-//! (which needs no shared study, so each run takes milliseconds).
+//! (which needs no shared study, so each run takes milliseconds), and
+//! the self-telemetry its report shows.
 
 use std::process::{Command, Output};
 
@@ -71,6 +72,23 @@ fn retired_bench_flags_and_serve_are_unknown_arguments() {
     }
 }
 
+/// The `series=`, `samples=` and `inserts=` totals of the report's
+/// `tsdb storage engine:` section.
+fn tsdb_totals(stdout: &str) -> (u64, u64, u64) {
+    let section = stdout
+        .split("tsdb storage engine:\n")
+        .nth(1)
+        .expect("report has the tsdb section");
+    let line = section.lines().next().unwrap_or_default();
+    let field = |key: &str| -> u64 {
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {key}= in {line:?}"))
+    };
+    (field("series"), field("samples"), field("inserts"))
+}
+
 #[test]
 fn report_and_metrics_out_show_the_tsdb_without_shards() {
     let path = std::env::temp_dir().join(format!("repro-metrics-out-{}.prom", std::process::id()));
@@ -102,8 +120,45 @@ fn report_and_metrics_out_show_the_tsdb_without_shards() {
         "{section}"
     );
     assert!(!section.contains("shard"), "{section}");
+    // table3 trains nothing, so no self-telemetry is filed.
+    let (series, samples, _) = tsdb_totals(&stdout);
+    assert_eq!((series, samples), (0, 0), "{section}");
     let exposition = exposition.expect("metrics file written");
+    for gauge in [
+        "inserts",
+        "queries",
+        "out_of_order_inserts",
+        "series",
+        "samples",
+        "sealed_chunks",
+        "sealed_bytes",
+        "sealed_uncompressed_bytes",
+        "compression_ratio",
+    ] {
+        assert!(
+            exposition.contains(&format!("# TYPE tsdb_{gauge} gauge\n")),
+            "tsdb_{gauge} missing: {exposition}"
+        );
+    }
     assert!(exposition.contains("# TYPE tsdb_append_seconds histogram"));
     assert!(exposition.contains("# TYPE tsdb_query_range_seconds histogram"));
     assert!(!exposition.contains("tsdb_shard_"), "{exposition}");
+}
+
+#[test]
+fn only_the_training_observer_writes_self_telemetry() {
+    let out = repro(&["--fast", "fig3", "report"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The study's four trainings × the observer's eight per-epoch
+    // curves, each point written once: nothing overwrites a curve.
+    let (series, samples, inserts) = tsdb_totals(&stdout);
+    assert_eq!(series, 32, "{stdout}");
+    assert_eq!(samples, inserts, "{stdout}");
+    assert!(stdout.contains("self-monitor: no alarms"), "{stdout}");
 }

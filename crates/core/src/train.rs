@@ -34,7 +34,7 @@ pub struct TrainingReport {
 /// A [`TrainObserver`] that bridges epoch telemetry into the
 /// observability layer: per-epoch `info!` log lines when `--verbose` is
 /// on, and `train_*` metrics (labelled by model name) in the global
-/// registry for the self-scraper to persist.
+/// registry.
 #[derive(Debug, Clone)]
 pub struct ObsTrainObserver {
     model: String,

@@ -190,11 +190,10 @@ impl RuleId {
             RuleId::HashIter => !HASH_ITER_EXEMPT.contains(&crate_dir),
             // `par` is in scope: its determinism contract forbids timing
             // from influencing results, so any clock use there must carry
-            // a reasoned allow (pool-utilisation metrics only).
+            // a reasoned allow.
             // `introspect` is in scope for the same reason: the
             // self-monitor's alarms land in tier-1 test assertions, so
-            // its series must be indexed by logical ticks, never wall
-            // time.
+            // its series must be indexed by epoch, never wall time.
             // `telemetry` is in scope since the TSDB became
             // self-instrumenting: stored samples and query results must
             // stay a pure function of the writes, so the engine's one

@@ -25,9 +25,8 @@
 //!   summary and the storage-engine section.
 //!
 //! Determinism: nothing in this crate reads a wall clock or OS entropy.
-//! Series are indexed by epoch number or by the logical [`next_tick`]
-//! counter, so a monitored run is a pure function of the seed, exactly
-//! like an unmonitored one.
+//! Series are indexed by epoch number, so a monitored run is a pure
+//! function of the seed, exactly like an unmonitored one.
 
 #![warn(missing_docs)]
 
@@ -36,9 +35,8 @@ pub mod report;
 pub mod watch;
 
 pub use observer::IntrospectObserver;
-pub use watch::{SelfMonitor, WatchConfig};
+pub use watch::SelfMonitor;
 
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::OnceLock;
 
 use env2vec_telemetry::{AlarmStore, LabelSet, TimeSeriesDb};
@@ -53,16 +51,8 @@ pub fn introspect_labels() -> LabelSet {
     LabelSet::new().with("env", INTROSPECT_ENV)
 }
 
-/// Deterministic logical clock for scrape timestamps: a process-wide
-/// monotone counter, so repeated scrapes land at distinct, reproducible
-/// timestamps without touching the wall clock.
-pub fn next_tick() -> i64 {
-    static TICK: AtomicI64 = AtomicI64::new(0);
-    TICK.fetch_add(1, Ordering::Relaxed) + 1
-}
-
 /// The process-wide self-telemetry TSDB (where [`IntrospectObserver`]
-/// and the `repro` self-scraper file their series).
+/// files its series).
 pub fn global_db() -> &'static TimeSeriesDb {
     static DB: OnceLock<TimeSeriesDb> = OnceLock::new();
     DB.get_or_init(TimeSeriesDb::new)
@@ -77,13 +67,6 @@ pub fn global_alarms() -> &'static AlarmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ticks_are_monotone_and_distinct() {
-        let a = next_tick();
-        let b = next_tick();
-        assert!(b > a);
-    }
 
     #[test]
     fn introspect_env_is_reserved_shaped() {

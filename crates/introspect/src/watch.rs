@@ -16,44 +16,28 @@ use env2vec_telemetry::alarms::NewAlarm;
 use env2vec_telemetry::tsdb::Series;
 use env2vec_telemetry::{AlarmStore, LabelMatcher, TimeSeriesDb};
 
+use crate::observer::EPOCH_SERIES;
 use crate::INTROSPECT_ENV;
 
-/// Thresholds for the self-monitoring rules.
-#[derive(Debug, Clone, Copy)]
-pub struct WatchConfig {
-    /// Gradient-norm ceiling: `train_grad_norm` above this alarms
-    /// (divergence).
-    pub grad_norm_max: f64,
-    /// Loss-spike factor: `train_val_loss` above `ratio × best-so-far`
-    /// alarms (instability after progress).
-    pub loss_spike_ratio: f64,
-    /// HTM raw-score alarm threshold (the paper's §4.2.2 rule uses 1.0).
-    pub htm_threshold: f64,
-    /// Minimum finite points before HTM-AD is consulted — shorter series
-    /// haven't given the temporal memory anything to learn.
-    pub htm_min_points: usize,
-    /// HTM readings ignored at the start of a series (everything is
-    /// novel to an untrained temporal memory).
-    pub htm_warmup: usize,
-    /// Consecutive flagged readings required before HTM alarms — online
-    /// learning emits sporadic single-point spikes even on a learned
-    /// signal, so isolated flags are noise and only a sustained run of
-    /// them is a rhythm break.
-    pub htm_persistence: usize,
-}
-
-impl Default for WatchConfig {
-    fn default() -> Self {
-        WatchConfig {
-            grad_norm_max: 1e4,
-            loss_spike_ratio: 4.0,
-            htm_threshold: 1.0,
-            htm_min_points: 48,
-            htm_warmup: 24,
-            htm_persistence: 3,
-        }
-    }
-}
+/// Gradient-norm ceiling: `train_grad_norm` above this alarms
+/// (divergence).
+const GRAD_NORM_MAX: f64 = 1e4;
+/// Loss-spike factor: `train_val_loss` above `ratio × best-so-far`
+/// alarms (instability after progress).
+const LOSS_SPIKE_RATIO: f64 = 4.0;
+/// HTM raw-score alarm threshold (the paper's §4.2.2 rule uses 1.0).
+const HTM_THRESHOLD: f64 = 1.0;
+/// Minimum finite points before HTM-AD is consulted — shorter series
+/// haven't given the temporal memory anything to learn.
+const HTM_MIN_POINTS: usize = 48;
+/// HTM readings ignored at the start of a series (everything is novel
+/// to an untrained temporal memory).
+const HTM_WARMUP: usize = 24;
+/// Consecutive flagged readings required before HTM alarms — online
+/// learning emits sporadic single-point spikes even on a learned
+/// signal, so isolated flags are noise and only a sustained run of them
+/// is a rhythm break.
+const HTM_PERSISTENCE: usize = 3;
 
 /// One rule violation found in one series (pre-alarm form).
 #[derive(Debug, Clone)]
@@ -66,41 +50,35 @@ struct Violation {
     observed: f64,
 }
 
-/// Watches `__introspect` series in a TSDB and raises alarms.
+/// Watches the `__introspect` training curves in a TSDB and raises
+/// alarms.
 #[derive(Debug)]
 pub struct SelfMonitor<'a> {
     db: &'a TimeSeriesDb,
-    config: WatchConfig,
 }
 
 impl<'a> SelfMonitor<'a> {
-    /// A monitor over `db` with default thresholds.
+    /// A monitor over `db`.
     pub fn new(db: &'a TimeSeriesDb) -> Self {
-        SelfMonitor {
-            db,
-            config: WatchConfig::default(),
-        }
+        SelfMonitor { db }
     }
 
-    /// A monitor over `db` with explicit thresholds.
-    pub fn with_config(db: &'a TimeSeriesDb, config: WatchConfig) -> Self {
-        SelfMonitor { db, config }
-    }
-
-    /// Runs every rule over every `__introspect`-labelled series,
-    /// pushing one alarm per violation into `alarms`. Returns the number
-    /// of alarms raised. Deterministic: series arrive in the TSDB's
-    /// (metric, labels) order and every rule is a pure function of the
-    /// samples.
+    /// Runs every rule over every `__introspect`-labelled series the
+    /// [`crate::IntrospectObserver`] writes ([`EPOCH_SERIES`]), pushing
+    /// one alarm per violation into `alarms`. Returns the number of
+    /// alarms raised. Deterministic: series are visited in (metric,
+    /// labels) order and every rule is a pure function of the samples.
     pub fn run(&self, alarms: &AlarmStore) -> usize {
         let matchers = [LabelMatcher::eq("env", INTROSPECT_ENV)];
+        let mut metrics = EPOCH_SERIES;
+        metrics.sort_unstable();
         let mut raised = 0;
-        for metric in self.db.metric_names() {
-            for series in self.db.query_range(&metric, &matchers, i64::MIN, i64::MAX) {
-                for v in self.check_series(&metric, &series) {
+        for metric in metrics {
+            for series in self.db.query_range(metric, &matchers, i64::MIN, i64::MAX) {
+                for v in self.check_series(metric, &series) {
                     alarms.push(NewAlarm {
                         env: series.labels.clone(),
-                        metric: metric.clone(),
+                        metric: metric.to_string(),
                         start: v.start,
                         end: v.end,
                         gamma: v.gamma,
@@ -132,7 +110,7 @@ impl<'a> SelfMonitor<'a> {
         let mut out = Vec::new();
         out.extend(self.non_finite(series));
         if metric == "train_grad_norm" {
-            out.extend(self.above_ceiling(series, self.config.grad_norm_max, "grad-blowup"));
+            out.extend(self.above_ceiling(series, GRAD_NORM_MAX, "grad-blowup"));
         }
         if metric == "train_val_loss" {
             out.extend(self.loss_spike(series));
@@ -186,7 +164,7 @@ impl<'a> SelfMonitor<'a> {
     /// Rule: validation loss spiking above `ratio × best-so-far` (only
     /// after a best exists, so a slow first epoch never alarms).
     fn loss_spike(&self, series: &Series) -> Option<Violation> {
-        let ratio = self.config.loss_spike_ratio;
+        let ratio = LOSS_SPIKE_RATIO;
         let mut best = f64::INFINITY;
         let mut spikes: Vec<(i64, f64, f64)> = Vec::new();
         for s in &series.samples {
@@ -223,7 +201,7 @@ impl<'a> SelfMonitor<'a> {
             .iter()
             .filter(|s| s.value.is_finite())
             .collect();
-        if finite.len() < self.config.htm_min_points {
+        if finite.len() < HTM_MIN_POINTS {
             return None;
         }
         let min = finite.iter().map(|s| s.value).fold(f64::INFINITY, f64::min);
@@ -246,18 +224,18 @@ impl<'a> SelfMonitor<'a> {
             .iter()
             .zip(&finite)
             .enumerate()
-            .skip(self.config.htm_warmup)
-            .filter(|(_, (r, _))| r.alarms_at(self.config.htm_threshold))
+            .skip(HTM_WARMUP)
+            .filter(|(_, (r, _))| r.alarms_at(HTM_THRESHOLD))
             .map(|(i, (r, s))| (i, s.timestamp, s.value, r.raw_score))
             .collect();
-        // Keep only members of runs of >= htm_persistence consecutive
+        // Keep only members of runs of >= HTM_PERSISTENCE consecutive
         // flagged readings.
         let mut flagged: Vec<(i64, f64, f64)> = Vec::new();
         let mut run_start = 0;
         for j in 1..=all_flagged.len() {
             let run_ends = j == all_flagged.len() || all_flagged[j].0 != all_flagged[j - 1].0 + 1;
             if run_ends {
-                if j - run_start >= self.config.htm_persistence.max(1) {
+                if j - run_start >= HTM_PERSISTENCE {
                     flagged.extend(
                         all_flagged[run_start..j]
                             .iter()
@@ -274,8 +252,8 @@ impl<'a> SelfMonitor<'a> {
             rule: "htm",
             start,
             end,
-            gamma: self.config.htm_threshold,
-            predicted: self.config.htm_threshold,
+            gamma: HTM_THRESHOLD,
+            predicted: HTM_THRESHOLD,
             observed: peak_value,
         })
     }
@@ -369,40 +347,36 @@ mod tests {
 
     #[test]
     fn htm_flags_a_rhythm_break_in_a_long_series() {
-        let db = TimeSeriesDb::new();
-        // A clean periodic signal the temporal memory can learn (the
-        // transient while it learns is excluded via the warmup)...
-        let mut values: Vec<f64> = (0..600)
-            .map(|i| 50.0 + 30.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin())
-            .collect();
-        // ...then a phase break late in the series.
-        for (k, v) in values.iter_mut().enumerate().skip(580) {
-            *v = 50.0 + 30.0 * (((k * 7) % 13) as f64 / 13.0);
-        }
-        seed_series(&db, "rhythm", "scrape_gauge", &values);
-        let config = WatchConfig {
-            htm_warmup: 560,
-            ..WatchConfig::default()
-        };
-        let alarms = AlarmStore::new();
-        SelfMonitor::with_config(&db, config).run(&alarms);
-        let raised = alarms.by_env_label("model", "rhythm");
-        assert_eq!(raised.len(), 1, "htm alarm expected");
-        assert!(raised[0].start >= 580, "alarm should sit at the break");
-        assert!(
-            raised[0].message.contains("rhythm"),
-            "{}",
-            raised[0].message
-        );
-
-        // The same series with no break stays quiet past the warmup.
+        // A clean periodic signal the temporal memory can learn...
         let clean: Vec<f64> = (0..600)
             .map(|i| 50.0 + 30.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin())
             .collect();
-        let db2 = TimeSeriesDb::new();
-        seed_series(&db2, "rhythm_clean", "scrape_gauge", &clean);
-        let quiet = AlarmStore::new();
-        assert_eq!(SelfMonitor::with_config(&db2, config).run(&quiet), 0);
+        // ...and the same signal with a phase break late in the series.
+        let mut broken = clean.clone();
+        for (k, v) in broken.iter_mut().enumerate().skip(580) {
+            *v = 50.0 + 30.0 * (((k * 7) % 13) as f64 / 13.0);
+        }
+        // The last HTM-flagged point of a curve that no other rule
+        // watches. Both curves flag while the temporal memory learns;
+        // only the broken one is flagged again at the break.
+        let htm_alarm_end = |model: &str, values: &[f64]| {
+            let db = TimeSeriesDb::new();
+            seed_series(&db, model, "train_param_norm", values);
+            let alarms = AlarmStore::new();
+            SelfMonitor::new(&db).run(&alarms);
+            let raised = alarms.by_env_label("model", model);
+            assert_eq!(raised.len(), 1, "one htm alarm expected: {raised:?}");
+            assert!(raised[0].message.contains("rhythm"), "{raised:?}");
+            raised[0].end
+        };
+        assert!(
+            htm_alarm_end("rhythm", &broken) >= 580,
+            "alarm reaches the break"
+        );
+        assert!(
+            htm_alarm_end("rhythm_clean", &clean) < 580,
+            "clean rhythm stays learned"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Observability for the Env2Vec pipeline: structured tracing and
-//! self-scraped metrics, with zero new external dependencies.
+//! metrics, with zero new external dependencies.
 //!
 //! Three pieces:
 //!
@@ -14,16 +14,11 @@
 //! - **Trace context** ([`trace`]): W3C `traceparent` parse/format and
 //!   deterministic id generation for request-scoped tracing across the
 //!   serve stack.
-//! - **Self-scrape** ([`scrape`]): snapshots of the registry are
-//!   persisted into the repo's own [`env2vec_telemetry::TimeSeriesDb`] —
-//!   the same TSDB the pipeline uses for VNF telemetry — so the
-//!   system's health metrics are queryable with the exact same
-//!   `query_instant`/`query_range` + label-matcher API it was built to
-//!   test. Dogfooding the TSDB keeps the dependency graph closed: obs
-//!   needs nothing the workspace doesn't already have.
 //!
-//! Plus structured stderr logging ([`logging`], [`info!`]) for CLI
-//! `--verbose` runs.
+//! [`prometheus`] renders a registry in the text exposition format
+//! (`repro --metrics-out`, the server's `/metrics`), and [`tsdb`]
+//! republishes the TSDB's own statistics as metrics. Plus structured
+//! stderr logging ([`logging`], [`info!`]) for CLI `--verbose` runs.
 //!
 //! Instrumentation is designed to be numerically inert: observers and
 //! spans only *read* values the pipeline already computes, never touch
@@ -33,7 +28,6 @@
 pub mod logging;
 pub mod metrics;
 pub mod prometheus;
-pub mod scrape;
 pub mod span;
 pub mod trace;
 pub mod tsdb;
@@ -43,7 +37,6 @@ pub use metrics::{
     quantile_from_cumulative, Counter, Exemplar, Gauge, Histogram, LabelSet, MetricSample,
     MetricValue, MetricsRegistry,
 };
-pub use scrape::{scrape_into, scrape_into_with};
 pub use span::{SpanCollector, SpanGuard, SpanRecord};
 pub use trace::TraceContext;
 
@@ -55,11 +48,6 @@ pub fn metrics() -> &'static MetricsRegistry {
 /// The process-wide span collector.
 pub fn collector() -> &'static SpanCollector {
     span::global()
-}
-
-/// Scrapes the global registry into `db` at `timestamp`.
-pub fn scrape_global(db: &env2vec_telemetry::TimeSeriesDb, timestamp: i64) -> usize {
-    scrape::scrape_into(metrics(), db, timestamp)
 }
 
 #[cfg(test)]

@@ -14,13 +14,24 @@
 //! ```
 //!
 //! Histograms expand to cumulative `_bucket` series (`le` label),
-//! `_sum`, and `_count`, exactly mirroring how [`crate::scrape`] files
-//! them into the TSDB — one mental model for both sinks. Label values
-//! are escaped per the exposition spec (`\\`, `\"`, `\n`).
+//! `_sum`, and `_count`. Label values are escaped per the exposition
+//! spec (`\\`, `\"`, `\n`).
 
 use crate::metrics::{MetricSample, MetricValue, MetricsRegistry};
-use crate::scrape::format_bound;
 use env2vec_telemetry::LabelSet;
+
+/// Formats a bucket bound the way Prometheus does: shortest exact-ish
+/// decimal (`0.001`, not `1e-3`), so `le` labels are stable strings.
+fn format_bound(b: f64) -> String {
+    let s = format!("{b}");
+    if s.contains('e') || s.contains('E') {
+        // Fall back to a plain decimal rendering for tiny bounds.
+        let s = format!("{b:.12}");
+        s.trim_end_matches('0').trim_end_matches('.').to_string()
+    } else {
+        s
+    }
+}
 
 /// Escapes a label value per the Prometheus exposition format: backslash,
 /// double quote, and newline get backslash escapes.
@@ -282,6 +293,14 @@ mod tests {
             samples[0].1.get("name").map(String::as_str),
             Some("he said \"hi\"\nback\\slash")
         );
+    }
+
+    #[test]
+    fn bounds_render_as_plain_decimals() {
+        assert_eq!(format_bound(0.001), "0.001");
+        assert_eq!(format_bound(1.0), "1");
+        assert_eq!(format_bound(0.000001), "0.000001");
+        assert_eq!(format_bound(316.2), "316.2");
     }
 
     #[test]

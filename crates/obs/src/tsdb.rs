@@ -3,10 +3,9 @@
 //! The TSDB sits below this crate (obs depends on telemetry), so it
 //! keeps its counters and latency [`crate::Histogram`]s itself and
 //! exports them as [`env2vec_telemetry::TsdbStats`] snapshots. This
-//! module is the other half of that loop: it turns a snapshot into
-//! ordinary gauges in a [`MetricsRegistry`] — which the self-scraper
-//! then writes *back into the same TSDB* — and into [`MetricSample`]
-//! histograms for Prometheus exposition and the report's quantile tables.
+//! module turns a snapshot into ordinary gauges in a [`MetricsRegistry`]
+//! and into [`MetricSample`] histograms, for Prometheus exposition and
+//! the report's quantile tables.
 
 use env2vec_telemetry::histogram::HistogramSnapshot;
 use env2vec_telemetry::tsdb::TsdbStats;
@@ -14,9 +13,8 @@ use env2vec_telemetry::tsdb::TsdbStats;
 use crate::metrics::{LabelSet, MetricSample, MetricValue, MetricsRegistry};
 
 /// Publishes the snapshot's counters, sizes, and compression accounting
-/// as gauges in `registry` (names prefixed `tsdb_`). Call before each
-/// scrape so the TSDB's own health rides the same pipeline as every
-/// other metric.
+/// as gauges in `registry` (names prefixed `tsdb_`). Call just before
+/// rendering the registry, so the gauges read the TSDB as it is then.
 pub fn publish_stats(registry: &MetricsRegistry, stats: &TsdbStats) {
     registry.gauge("tsdb_inserts").set(stats.inserts as f64);
     registry.gauge("tsdb_queries").set(stats.queries as f64);

@@ -182,24 +182,21 @@ pub fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
     result
 }
 
-/// Runs `f` on a named thread of its own with no join point: the call
+/// Runs `f` on a thread named `name` with no join point: the call
 /// returns at once and `f` may outlive the caller. Meant for long-lived
 /// jobs — the server's accept loop and connection handlers.
 ///
-/// `f` runs inside an [`env2vec_obs`] span named `name`, and a scope it
-/// opens stays on its thread, as inside a job. A panic in `f` ends only
-/// its own thread. Returns an error when the OS refuses the thread; `f`
-/// then never runs.
+/// A scope `f` opens stays on its thread, as inside a job. A panic in
+/// `f` ends only its own thread. Returns an error when the OS refuses
+/// the thread; `f` then never runs.
 pub fn spawn_detached<F>(name: impl Into<String>, f: F) -> std::io::Result<()>
 where
     F: FnOnce() + Send + 'static,
 {
-    let name = name.into();
     std::thread::Builder::new()
-        .name(name.clone())
+        .name(name.into())
         .spawn(move || {
             IN_JOB.with(|flag| flag.set(true));
-            let _span = env2vec_obs::collector().start(name, Vec::new());
             f();
         })
         .map(drop)

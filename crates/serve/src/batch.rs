@@ -26,7 +26,6 @@ use std::time::Instant;
 
 use env2vec::dataframe::Dataframe;
 use env2vec_linalg::Matrix;
-use env2vec_obs::TraceContext;
 use env2vec_telemetry::locks::{self, TrackedMutex, TrackedRwLock};
 
 use crate::model_cache::{CachedModel, ModelCache};
@@ -102,8 +101,6 @@ impl ResultSlot {
 struct Submission {
     request: PredictRequest,
     slot: Arc<ResultSlot>,
-    /// Trace context propagated from the request's `traceparent`.
-    ctx: Option<TraceContext>,
     enqueued: Instant,
 }
 
@@ -178,18 +175,13 @@ impl Batcher {
     /// for the same environment. Returns the model version used and one
     /// prediction per request row, in request order.
     pub fn predict(&self, request: PredictRequest) -> RowResult {
-        self.predict_traced(request, None).0
+        self.predict_traced(request).0
     }
 
-    /// [`Batcher::predict`] with an optional trace context: the request
-    /// joins the batch carrying its trace id, and the returned
-    /// [`BatchTrace`] reports queue wait, batch occupancy, and the
+    /// [`Batcher::predict`] plus the [`BatchTrace`] recorded into the
+    /// request's trace: queue wait, batch occupancy, and the
     /// submission's leader/follower role.
-    pub fn predict_traced(
-        &self,
-        request: PredictRequest,
-        ctx: Option<TraceContext>,
-    ) -> (RowResult, BatchTrace) {
+    pub fn predict_traced(&self, request: PredictRequest) -> (RowResult, BatchTrace) {
         if request.rows.is_empty() {
             return (
                 Err(ServeError::InvalidRequest("empty rows".to_string())),
@@ -213,7 +205,6 @@ impl Batcher {
             state.pending.push(Submission {
                 request,
                 slot: Arc::clone(&slot),
-                ctx,
                 enqueued: Instant::now(),
             });
             if state.rows >= self.opts.max_rows {
@@ -272,23 +263,6 @@ impl Batcher {
             batch_requests,
             leader: false,
         };
-        // One batch span linking every sampled member request, exported
-        // through the usual Chrome-trace path.
-        let sampled: Vec<String> = batch
-            .iter()
-            .filter_map(|s| s.ctx.filter(|c| c.sampled).map(|c| c.trace_id_hex()))
-            .collect();
-        let mut span = (!sampled.is_empty()).then(|| {
-            env2vec_obs::span::global().start(
-                "serve/batch",
-                vec![
-                    ("env".to_string(), env.to_string()),
-                    ("rows".to_string(), queued_rows.to_string()),
-                    ("requests".to_string(), batch_requests.to_string()),
-                    ("trace_ids".to_string(), sampled.join(",")),
-                ],
-            )
-        });
         let cached = match self.cache.get(env) {
             Ok(cached) => cached,
             Err(e) => {
@@ -298,9 +272,6 @@ impl Batcher {
                 return;
             }
         };
-        if let Some(span) = span.as_mut() {
-            span.arg("model_version", cached.version);
-        }
         // Validate each submission against the model's shapes; invalid
         // ones error out individually without poisoning the batch.
         let mut valid: Vec<&Submission> = Vec::with_capacity(batch.len());
@@ -499,7 +470,7 @@ mod tests {
             let batcher = Arc::clone(&batcher);
             handles.push(std::thread::spawn(move || {
                 let rows: Vec<PredictRow> = (0..4).map(|k| row(t * 4 + k)).collect();
-                (t, batcher.predict_traced(request("edge", rows), None))
+                (t, batcher.predict_traced(request("edge", rows)))
             }));
         }
         for handle in handles {
@@ -544,9 +515,7 @@ mod tests {
         let handles: Vec<_> = (0..3usize)
             .map(|t| {
                 let batcher = Arc::clone(&batcher);
-                std::thread::spawn(move || {
-                    batcher.predict_traced(request("edge", vec![row(t)]), None)
-                })
+                std::thread::spawn(move || batcher.predict_traced(request("edge", vec![row(t)])))
             })
             .collect();
         // Polls queue state, not a clock: the deadline only turns a hang
@@ -582,16 +551,14 @@ mod tests {
     fn traced_predictions_report_batch_occupancy_and_role() {
         let (hub, model) = published_hub("edge");
         let batcher = Batcher::new(Arc::new(ModelCache::new(hub)), BatchOptions { max_rows: 8 });
-        let ctx = TraceContext::from_seed(7, true);
-        let (result, trace) =
-            batcher.predict_traced(request("edge", vec![row(0), row(1)]), Some(ctx));
+        let (result, trace) = batcher.predict_traced(request("edge", vec![row(0), row(1)]));
         let (_, preds) = result.expect("predict");
         assert_eq!(preds.len(), 2);
         assert!(trace.leader, "sole submitter is the leader");
         assert_eq!(trace.batch_rows, 2);
         assert_eq!(trace.batch_requests, 1);
         assert!(trace.wait_seconds >= 0.0);
-        // The trace context changes nothing about the numbers.
+        // Reporting the batch changes nothing about the numbers.
         let untraced = batcher
             .predict(request("edge", vec![row(0), row(1)]))
             .expect("untraced predict");

@@ -75,10 +75,7 @@ impl ModelCache {
         }
         // Stale or cold: load outside any lock (deserialisation is the
         // expensive part), then insert unless a concurrent reload beat
-        // us to an even newer version. Reloads are rare enough to earn a
-        // span; on the leader's thread it nests under the batch span, so
-        // a traced request shows where its latency went.
-        let _span = env2vec_obs::span!("serve/model_reload", env = env, version = latest);
+        // us to an even newer version.
         let published = registry
             .get(latest)
             .ok_or_else(|| ServeError::BadModelBlob(env.to_string()))?;

@@ -228,24 +228,10 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
                     .and_then(TraceContext::parse)
                     .map(|c| c.child())
                     .unwrap_or_else(TraceContext::fresh);
-                let mut span = ctx.sampled.then(|| {
-                    env2vec_obs::span::global().start(
-                        "serve/request",
-                        vec![
-                            ("trace_id".to_string(), ctx.trace_id_hex()),
-                            ("method".to_string(), request.method.clone()),
-                            ("path".to_string(), request.path.clone()),
-                        ],
-                    )
-                });
-                let outcome = match respond(&mut conn, &request, &inner, &ctx) {
+                let outcome = match respond(&mut conn, &request, &inner) {
                     Ok(outcome) => outcome,
                     Err(_) => return,
                 };
-                if let Some(span) = span.as_mut() {
-                    span.arg("status", outcome.status);
-                }
-                drop(span);
                 let total_seconds = started.elapsed().as_secs_f64();
                 metrics
                     .histogram("serve_request_seconds")
@@ -337,7 +323,6 @@ fn respond(
     conn: &mut HttpConn<TcpStream>,
     request: &Request,
     inner: &Inner,
-    ctx: &TraceContext,
 ) -> std::io::Result<RouteOutcome> {
     let keep_alive = request.keep_alive;
     let mut outcome = RouteOutcome {
@@ -349,7 +334,7 @@ fn respond(
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/predict") => {
             let (status, body, batch, model_version) =
-                predict_response(&inner.batcher, &request.body, ctx);
+                predict_response(&inner.batcher, &request.body);
             outcome.status = status;
             outcome.batch = batch;
             outcome.model_version = model_version;
@@ -454,11 +439,7 @@ fn error_body(error: &str) -> String {
 
 /// Parses, batches, and serialises one `/predict` call. Returns
 /// `(status, body, batch diagnostics, model version)`.
-fn predict_response(
-    batcher: &Batcher,
-    body: &[u8],
-    ctx: &TraceContext,
-) -> (u16, String, BatchTrace, u64) {
+fn predict_response(batcher: &Batcher, body: &[u8]) -> (u16, String, BatchTrace, u64) {
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
         Err(_) => {
@@ -481,7 +462,7 @@ fn predict_response(
             )
         }
     };
-    let (result, trace) = batcher.predict_traced(request, Some(*ctx));
+    let (result, trace) = batcher.predict_traced(request);
     match result {
         Ok((model_version, predictions)) => {
             let response = PredictResponse {

@@ -35,7 +35,7 @@ const SLOW_THRESHOLD: Duration = Duration::from_millis(10);
 pub struct TraceRecord {
     /// 32-char lowercase hex trace id (the `GET /trace/{id}` key).
     pub trace_id: String,
-    /// 16-char lowercase hex span id of the request span.
+    /// 16-char lowercase hex span id of the request's trace context.
     pub span_id: String,
     /// Whether the incoming `traceparent` carried `sampled=1`.
     pub sampled: bool,

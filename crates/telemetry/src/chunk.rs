@@ -15,9 +15,9 @@
 //! - decode is exact — a sealed chunk yields the same `f64` bit patterns
 //!   that were appended.
 //!
-//! Writes that land inside sealed territory (out-of-order scraper
-//! traffic) decode the owning chunk, splice, and re-seal; callers get
-//! that fact back so the database can count it.
+//! Writes that land inside sealed territory (out-of-order writes)
+//! decode the owning chunk, splice, and re-seal; callers get that fact
+//! back so the database can count it.
 
 use crate::codec::{self, EncodedChunk};
 use crate::tsdb::Sample;

@@ -68,8 +68,8 @@ pub struct TsdbStats {
     /// Queries served since creation (instant and range).
     pub queries: u64,
     /// Writes that landed inside sealed (compressed) territory and
-    /// forced a decode/splice/re-seal cycle — misordered scraper traffic
-    /// made visible.
+    /// forced a decode/splice/re-seal cycle — misordered writes made
+    /// visible.
     pub out_of_order_inserts: u64,
     /// Current number of distinct series.
     pub num_series: usize,
@@ -173,8 +173,9 @@ impl TimeSeriesDb {
     /// Like [`TimeSeriesDb::append`], but if the series already holds a
     /// sample at exactly `sample.timestamp`, that sample's value is
     /// replaced instead of a duplicate point being inserted. This is the
-    /// write primitive for idempotent scrapes: re-scraping the same
-    /// registry at the same timestamp converges instead of growing.
+    /// write primitive for epoch-indexed self-telemetry: re-training a
+    /// model under the same labels replaces its curve instead of growing
+    /// it.
     pub fn upsert(&self, metric: &str, labels: &LabelSet, sample: Sample) {
         let timer = start_timer();
         self.inserts.fetch_add(1, Ordering::Relaxed);
@@ -311,11 +312,6 @@ impl TimeSeriesDb {
             range_latency: self.range_latency.snapshot(),
         }
     }
-
-    /// All metric names currently stored, sorted.
-    pub fn metric_names(&self) -> Vec<String> {
-        self.series.read().keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +358,6 @@ pub(crate) mod tests {
         let db = filled_db();
         assert_eq!(db.num_series(), 3);
         assert_eq!(db.num_samples(), 21);
-        assert_eq!(db.metric_names(), vec!["cpu_usage", "mem_usage"]);
     }
 
     #[test]

@@ -120,21 +120,12 @@ fn report_and_metrics_out_show_the_tsdb_without_shards() {
         "{section}"
     );
     assert!(!section.contains("shard"), "{section}");
+    assert!(!section.contains("sealed_chunks="), "{section}");
     // table3 trains nothing, so no self-telemetry is filed.
     let (series, samples, _) = tsdb_totals(&stdout);
     assert_eq!((series, samples), (0, 0), "{section}");
     let exposition = exposition.expect("metrics file written");
-    for gauge in [
-        "inserts",
-        "queries",
-        "out_of_order_inserts",
-        "series",
-        "samples",
-        "sealed_chunks",
-        "sealed_bytes",
-        "sealed_uncompressed_bytes",
-        "compression_ratio",
-    ] {
+    for gauge in ["inserts", "queries", "series", "samples"] {
         assert!(
             exposition.contains(&format!("# TYPE tsdb_{gauge} gauge\n")),
             "tsdb_{gauge} missing: {exposition}"
@@ -142,7 +133,17 @@ fn report_and_metrics_out_show_the_tsdb_without_shards() {
     }
     assert!(exposition.contains("# TYPE tsdb_append_seconds histogram"));
     assert!(exposition.contains("# TYPE tsdb_query_range_seconds histogram"));
-    assert!(!exposition.contains("tsdb_shard_"), "{exposition}");
+    // One sorted vector per series: no shards, sealed chunks,
+    // compression, out-of-order counter or instant queries to report.
+    for gone in [
+        "tsdb_shard_",
+        "tsdb_sealed_",
+        "tsdb_compression_ratio",
+        "tsdb_out_of_order_inserts",
+        "tsdb_query_instant_seconds",
+    ] {
+        assert!(!exposition.contains(gone), "{gone}: {exposition}");
+    }
 }
 
 #[test]

@@ -74,25 +74,13 @@ pub fn alarm_summary(alarms: &AlarmStore) -> String {
     out
 }
 
-/// Renders the TSDB storage-engine section: totals, compression
-/// accounting, and the engine's own append/instant/range latency
-/// quantiles.
+/// Renders the TSDB storage-engine section: totals and the engine's own
+/// append/range latency quantiles.
 pub fn tsdb_section(stats: &TsdbStats) -> String {
     let mut out = String::from("tsdb storage engine:\n");
     out.push_str(&format!(
-        "  series={} samples={} inserts={} queries={} out_of_order_inserts={}\n",
-        stats.num_series,
-        stats.num_samples,
-        stats.inserts,
-        stats.queries,
-        stats.out_of_order_inserts,
-    ));
-    out.push_str(&format!(
-        "  sealed_chunks={} compressed_bytes={} uncompressed_bytes={} ratio={:.2}x\n",
-        stats.sealed_chunks,
-        stats.sealed_bytes,
-        stats.sealed_uncompressed_bytes,
-        stats.compression_ratio(),
+        "  series={} samples={} inserts={} queries={}\n",
+        stats.num_series, stats.num_samples, stats.inserts, stats.queries,
     ));
     out.push_str("\n  tsdb op latency quantiles (seconds):\n");
     out.push_str(&quantile_table(&env2vec_obs::tsdb::latency_samples(stats)));
@@ -161,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn tsdb_section_reports_totals_compression_and_latency() {
+    fn tsdb_section_reports_totals_and_latency() {
         use env2vec_telemetry::{Sample, TimeSeriesDb};
         let db = TimeSeriesDb::new();
         for t in 0..400i64 {
@@ -178,9 +166,8 @@ mod tests {
         let stats = db.stats();
         let text = render(&[], &AlarmStore::new(), Some(&stats));
         assert!(text.contains("tsdb storage engine:"));
-        assert!(text.contains("series=1 samples=400"));
-        assert!(text.contains("sealed_chunks=1"));
-        assert!(text.contains("ratio="));
+        assert!(text.contains("series=1 samples=400 inserts=400 queries=1\n"));
+        assert!(!text.contains("sealed"), "no sealed-chunk accounting");
         assert!(text.contains("tsdb_append_seconds"));
         assert!(text.contains("tsdb_query_range_seconds"));
         assert!(!text.contains("shard"), "one map, no shard table");

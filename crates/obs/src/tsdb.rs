@@ -12,29 +12,14 @@ use env2vec_telemetry::tsdb::TsdbStats;
 
 use crate::metrics::{LabelSet, MetricSample, MetricValue, MetricsRegistry};
 
-/// Publishes the snapshot's counters, sizes, and compression accounting
-/// as gauges in `registry` (names prefixed `tsdb_`). Call just before
-/// rendering the registry, so the gauges read the TSDB as it is then.
+/// Publishes the snapshot's counters and sizes as gauges in
+/// `registry` (names prefixed `tsdb_`). Call just before rendering the
+/// registry, so the gauges read the TSDB as it is then.
 pub fn publish_stats(registry: &MetricsRegistry, stats: &TsdbStats) {
     registry.gauge("tsdb_inserts").set(stats.inserts as f64);
     registry.gauge("tsdb_queries").set(stats.queries as f64);
-    registry
-        .gauge("tsdb_out_of_order_inserts")
-        .set(stats.out_of_order_inserts as f64);
     registry.gauge("tsdb_series").set(stats.num_series as f64);
     registry.gauge("tsdb_samples").set(stats.num_samples as f64);
-    registry
-        .gauge("tsdb_sealed_chunks")
-        .set(stats.sealed_chunks as f64);
-    registry
-        .gauge("tsdb_sealed_bytes")
-        .set(stats.sealed_bytes as f64);
-    registry
-        .gauge("tsdb_sealed_uncompressed_bytes")
-        .set(stats.sealed_uncompressed_bytes as f64);
-    registry
-        .gauge("tsdb_compression_ratio")
-        .set(stats.compression_ratio());
 }
 
 fn histogram_sample(name: &str, snap: &HistogramSnapshot) -> MetricSample {
@@ -51,13 +36,12 @@ fn histogram_sample(name: &str, snap: &HistogramSnapshot) -> MetricSample {
     }
 }
 
-/// The TSDB's append/instant/range latency distributions as histogram
-/// samples (name-sorted), ready for `prometheus::render_snapshot` or the
+/// The TSDB's append/range latency distributions as histogram samples
+/// (name-sorted), ready for `prometheus::render_snapshot` or the
 /// report's quantile table.
 pub fn latency_samples(stats: &TsdbStats) -> Vec<MetricSample> {
     vec![
         histogram_sample("tsdb_append_seconds", &stats.append_latency),
-        histogram_sample("tsdb_query_instant_seconds", &stats.instant_latency),
         histogram_sample("tsdb_query_range_seconds", &stats.range_latency),
     ]
 }
@@ -79,7 +63,7 @@ mod tests {
                 },
             );
         }
-        db.query_instant("cpu_usage", &[], 150);
+        db.query_range("cpu_usage", &[], 150, 150);
         db.query_range("cpu_usage", &[], 0, 299);
         db
     }
@@ -92,16 +76,15 @@ mod tests {
         assert_eq!(reg.gauge("tsdb_inserts").get(), 300.0);
         assert_eq!(reg.gauge("tsdb_series").get(), 1.0);
         assert_eq!(reg.gauge("tsdb_samples").get(), 300.0);
-        assert!(reg.gauge("tsdb_sealed_chunks").get() >= 1.0);
-        assert!(reg.gauge("tsdb_compression_ratio").get() > 1.0);
-        assert_eq!(reg.len(), 9);
+        assert_eq!(reg.gauge("tsdb_queries").get(), 2.0);
+        assert_eq!(reg.len(), 4);
     }
 
     #[test]
     fn latency_samples_are_report_ready_histograms() {
         let db = exercised_db();
         let samples = latency_samples(&db.stats());
-        assert_eq!(samples.len(), 3);
+        assert_eq!(samples.len(), 2);
         let names: Vec<&str> = samples.iter().map(|s| s.name.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();

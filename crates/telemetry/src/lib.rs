@@ -11,8 +11,8 @@
 //!
 //! - [`labels`]: label sets and matchers (the Prometheus data model).
 //! - [`tsdb`]: a label-indexed in-memory time-series database with
-//!   instant and range queries behind one lock; each series keeps an
-//!   open head and Gorilla-compressed ([`codec`]) sealed chunks.
+//!   range queries behind one lock; each series is one time-sorted
+//!   vector of samples.
 //! - [`histogram`]: the workspace's one latency histogram, used by the
 //!   TSDB's self-instrumentation and re-exported by `env2vec-obs`.
 //! - [`discovery`]: scrape-target records carrying the `env` label,
@@ -25,8 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod alarms;
-mod chunk;
-pub mod codec;
 pub mod discovery;
 pub mod histogram;
 pub mod labels;

@@ -1,37 +1,28 @@
-//! Compressed, label-indexed in-memory time-series database.
+//! Label-indexed in-memory time-series database.
 //!
 //! The Prometheus stand-in: series are keyed by metric name plus label
 //! set, samples are `(timestamp, value)` pairs kept in time order, and
-//! queries select by matchers with instant (latest-at-or-before) or range
-//! semantics. Interior locking makes one database shareable between the
-//! metric collector and the prediction pipeline, mirroring the paper's
-//! workflow where both sides talk to the same Prometheus.
+//! queries select by matchers with range semantics. Interior locking
+//! makes one database shareable between the metric collector and the
+//! prediction pipeline, mirroring the paper's workflow where both sides
+//! talk to the same Prometheus.
 //!
-//! - **Layout.** One lock over one `metric → label set → series` map.
-//!   A query reads only its metric's inner map, and the nested
-//!   `BTreeMap`s yield every result in `(metric, labels)` order by
-//!   construction (envlint `hash-iter`-clean).
-//! - **Compression.** Each series is an open head plus Gorilla-compressed
-//!   sealed chunks ([`crate::codec`]); the head seals once it holds 256
-//!   samples. Decode is exact to the bit, so sealing changes memory use,
-//!   never results.
-//! - **Self-observation.** The sample count is maintained on the write
-//!   path (`num_samples()` never walks samples), out-of-order writes that
-//!   force a sealed-chunk rewrite are counted, and append/instant/range
-//!   latencies land in the workspace's shared [`Histogram`], exported as
-//!   snapshots through [`TsdbStats`].
+//! - **Layout.** One lock over one `metric → label set → samples` map;
+//!   each series is one time-sorted `Vec<Sample>`. A query reads only
+//!   its metric's inner map, and the nested `BTreeMap`s yield every
+//!   result in `(metric, labels)` order by construction (envlint
+//!   `hash-iter`-clean).
+//! - **Self-observation.** Insert and query counts are atomics, so
+//!   reading them never takes the data lock; append and range latencies
+//!   land in the workspace's shared [`Histogram`], exported as snapshots
+//!   through [`TsdbStats`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::chunk::SeriesStore;
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::labels::{LabelMatcher, LabelSet};
 use crate::locks::TrackedRwLock;
-
-/// Head size (samples) at which a series' open chunk is sealed and
-/// compressed.
-const SEAL_AFTER: usize = 256;
 
 /// One observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,62 +56,31 @@ fn start_timer() -> std::time::Instant {
 pub struct TsdbStats {
     /// Samples inserted since creation.
     pub inserts: u64,
-    /// Queries served since creation (instant and range).
+    /// Range queries served since creation.
     pub queries: u64,
-    /// Writes that landed inside sealed (compressed) territory and
-    /// forced a decode/splice/re-seal cycle — misordered writes made
-    /// visible.
-    pub out_of_order_inserts: u64,
     /// Current number of distinct series.
     pub num_series: usize,
-    /// Current total number of samples (a write-path counter, O(1) to
-    /// read).
+    /// Current total number of samples.
     pub num_samples: usize,
-    /// Sealed (compressed) chunks across all series.
-    pub sealed_chunks: usize,
-    /// Bytes the sealed chunks occupy compressed.
-    pub sealed_bytes: usize,
-    /// Bytes the same sealed samples would occupy uncompressed.
-    pub sealed_uncompressed_bytes: usize,
     /// Append-path latency distribution, in seconds.
     pub append_latency: HistogramSnapshot,
-    /// Instant-query latency distribution, in seconds.
-    pub instant_latency: HistogramSnapshot,
     /// Range-query latency distribution, in seconds.
     pub range_latency: HistogramSnapshot,
 }
 
-impl TsdbStats {
-    /// Sealed-chunk compression ratio (uncompressed / compressed bytes);
-    /// 1.0 when nothing is sealed yet.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.sealed_bytes == 0 {
-            1.0
-        } else {
-            self.sealed_uncompressed_bytes as f64 / self.sealed_bytes as f64
-        }
-    }
-}
-
-/// Every series: metric name → label set → storage.
-type SeriesMap = BTreeMap<String, BTreeMap<LabelSet, SeriesStore>>;
+/// Every series: metric name → label set → samples in time order.
+type SeriesMap = BTreeMap<String, BTreeMap<LabelSet, Vec<Sample>>>;
 
 /// An in-memory TSDB shareable between writers and readers.
 ///
 /// See the module docs for the storage layout. All query results are
-/// ordered by `(metric, labels)`, and decode of compressed chunks is
-/// bit-exact.
+/// ordered by `(metric, labels)`.
 #[derive(Debug)]
 pub struct TimeSeriesDb {
     series: TrackedRwLock<SeriesMap>,
-    /// Operation tallies kept as plain atomics so reading them never
-    /// takes the data lock. `samples` is the number currently stored.
-    samples: AtomicU64,
     inserts: AtomicU64,
     queries: AtomicU64,
-    out_of_order: AtomicU64,
     append_latency: Histogram,
-    instant_latency: Histogram,
     range_latency: Histogram,
 }
 
@@ -128,12 +88,9 @@ impl Default for TimeSeriesDb {
     fn default() -> Self {
         TimeSeriesDb {
             series: TrackedRwLock::new("telemetry.tsdb.series", BTreeMap::new()),
-            samples: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            out_of_order: AtomicU64::new(0),
             append_latency: Histogram::durations(),
-            instant_latency: Histogram::durations(),
             range_latency: Histogram::durations(),
         }
     }
@@ -145,21 +102,18 @@ impl TimeSeriesDb {
         Self::default()
     }
 
-    /// Runs `f` on the series `(metric, labels)` under the write lock,
-    /// creating the series first if needed.
-    fn write<R>(
-        &self,
-        metric: &str,
-        labels: &LabelSet,
-        f: impl FnOnce(&mut SeriesStore) -> R,
-    ) -> R {
-        let mut map = self.series.write();
-        let store = map
+    /// Runs `f` on the samples of `(metric, labels)` under the write
+    /// lock, creating the series first if needed, and times the write.
+    fn write(&self, metric: &str, labels: &LabelSet, f: impl FnOnce(&mut Vec<Sample>)) {
+        let timer = start_timer();
+        f(self
+            .series
+            .write()
             .entry(metric.to_string())
             .or_default()
             .entry(labels.clone())
-            .or_default();
-        f(store)
+            .or_default());
+        self.append_latency.observe(timer.elapsed().as_secs_f64());
     }
 
     /// Appends a sample to the series `(metric, labels)`, creating it on
@@ -171,47 +125,45 @@ impl TimeSeriesDb {
     }
 
     /// Like [`TimeSeriesDb::append`], but if the series already holds a
-    /// sample at exactly `sample.timestamp`, that sample's value is
-    /// replaced instead of a duplicate point being inserted. This is the
-    /// write primitive for epoch-indexed self-telemetry: re-training a
-    /// model under the same labels replaces its curve instead of growing
-    /// it.
+    /// sample at exactly `sample.timestamp`, the first such sample's
+    /// value is replaced instead of a duplicate point being inserted.
+    /// This is the write primitive for epoch-indexed self-telemetry:
+    /// re-training a model under the same labels replaces its curve
+    /// instead of growing it.
     pub fn upsert(&self, metric: &str, labels: &LabelSet, sample: Sample) {
-        let timer = start_timer();
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.write(metric, labels, |store| store.upsert(sample, SEAL_AFTER));
-        if outcome.inserted {
-            self.samples.fetch_add(1, Ordering::Relaxed);
-        }
-        if outcome.rewrote_sealed {
-            self.out_of_order.fetch_add(1, Ordering::Relaxed);
-        }
-        self.append_latency.observe(timer.elapsed().as_secs_f64());
+        self.write(metric, labels, |stored| {
+            let pos = stored.partition_point(|s| s.timestamp < sample.timestamp);
+            match stored.get_mut(pos) {
+                Some(existing) if existing.timestamp == sample.timestamp => {
+                    existing.value = sample.value;
+                }
+                _ => stored.insert(pos, sample),
+            }
+        });
     }
 
     /// Appends a whole vector of samples at once, taking the lock once
-    /// for the batch.
+    /// for the batch. Each sample is pushed, or inserted after any equal
+    /// timestamps when it is older than the newest stored sample.
     pub fn append_series(&self, metric: &str, labels: &LabelSet, samples: &[Sample]) {
         if samples.is_empty() {
             return;
         }
-        let timer = start_timer();
-        let count = samples.len() as u64;
-        self.inserts.fetch_add(count, Ordering::Relaxed);
-        let rewrote = self.write(metric, labels, |store| {
-            let mut rewrote = 0u64;
-            for &s in samples {
-                if store.append(s, SEAL_AFTER).rewrote_sealed {
-                    rewrote += 1;
+        self.inserts
+            .fetch_add(samples.len() as u64, Ordering::Relaxed);
+        self.write(metric, labels, |stored| {
+            stored.reserve(samples.len());
+            for &sample in samples {
+                match stored.last() {
+                    Some(last) if last.timestamp > sample.timestamp => {
+                        let pos = stored.partition_point(|s| s.timestamp <= sample.timestamp);
+                        stored.insert(pos, sample);
+                    }
+                    _ => stored.push(sample),
                 }
             }
-            rewrote
         });
-        self.samples.fetch_add(count, Ordering::Relaxed);
-        if rewrote > 0 {
-            self.out_of_order.fetch_add(rewrote, Ordering::Relaxed);
-        }
-        self.append_latency.observe(timer.elapsed().as_secs_f64());
     }
 
     /// Number of distinct series.
@@ -219,48 +171,20 @@ impl TimeSeriesDb {
         self.series.read().values().map(BTreeMap::len).sum()
     }
 
-    /// Total number of samples across all series. O(1): read from the
-    /// write-path counter, never by walking the data.
+    /// Total number of samples across all series.
     pub fn num_samples(&self) -> usize {
-        self.samples.load(Ordering::Relaxed) as usize
-    }
-
-    /// `f` over every series of `metric` whose labels satisfy
-    /// `matchers`, in label order, keeping the `Some` results.
-    fn select<T>(
-        &self,
-        metric: &str,
-        matchers: &[LabelMatcher],
-        mut f: impl FnMut(&LabelSet, &SeriesStore) -> Option<T>,
-    ) -> Vec<T> {
-        let map = self.series.read();
-        map.get(metric)
-            .into_iter()
-            .flatten()
-            .filter(|(labels, _)| labels.matches(matchers))
-            .filter_map(|(labels, store)| f(labels, store))
-            .collect()
-    }
-
-    /// Instant query: for every matching series, the latest sample at or
-    /// before `at`, in label order.
-    pub fn query_instant(
-        &self,
-        metric: &str,
-        matchers: &[LabelMatcher],
-        at: i64,
-    ) -> Vec<(LabelSet, Sample)> {
-        let timer = start_timer();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let out = self.select(metric, matchers, |labels, store| {
-            store.latest_at_or_before(at).map(|s| (labels.clone(), s))
-        });
-        self.instant_latency.observe(timer.elapsed().as_secs_f64());
-        out
+        self.series
+            .read()
+            .values()
+            .flat_map(BTreeMap::values)
+            .map(Vec::len)
+            .sum()
     }
 
     /// Range query: for every matching series, the samples with
-    /// `start <= timestamp <= end`, in label order.
+    /// `start <= timestamp <= end`, in label order. A series with no
+    /// sample in the range is left out, so an inverted range
+    /// (`start > end`) matches nothing.
     pub fn query_range(
         &self,
         metric: &str,
@@ -270,56 +194,58 @@ impl TimeSeriesDb {
     ) -> Vec<Series> {
         let timer = start_timer();
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let out = self.select(metric, matchers, |labels, store| {
-            let samples = store.samples_between(start, end);
-            (!samples.is_empty()).then(|| Series {
-                metric: metric.to_string(),
-                labels: labels.clone(),
-                samples,
+        let out = self
+            .series
+            .read()
+            .get(metric)
+            .into_iter()
+            .flatten()
+            .filter(|(labels, _)| labels.matches(matchers))
+            .filter_map(|(labels, samples)| {
+                let lo = samples.partition_point(|s| s.timestamp < start);
+                let hi = samples.partition_point(|s| s.timestamp <= end);
+                (lo < hi).then(|| Series {
+                    metric: metric.to_string(),
+                    labels: labels.clone(),
+                    samples: samples[lo..hi].to_vec(),
+                })
             })
-        });
+            .collect();
         self.range_latency.observe(timer.elapsed().as_secs_f64());
         out
     }
 
-    /// Operation counts, sizes, compression accounting, and latency
-    /// distributions, for the observability layer's `tsdb_*` metrics.
-    ///
-    /// Counter reads are O(1); the sealed-chunk accounting walks series
-    /// headers (never samples), O(num_series).
+    /// Operation counts, sizes and latency distributions, for the
+    /// observability layer's `tsdb_*` metrics.
     pub fn stats(&self) -> TsdbStats {
-        let mut num_series = 0;
-        let mut sealed_chunks = 0;
-        let mut sealed_bytes = 0;
-        let mut sealed_uncompressed_bytes = 0;
-        for store in self.series.read().values().flat_map(BTreeMap::values) {
-            num_series += 1;
-            sealed_chunks += store.sealed_chunks();
-            sealed_bytes += store.compressed_bytes();
-            sealed_uncompressed_bytes += store.sealed_uncompressed_bytes();
-        }
         TsdbStats {
             inserts: self.inserts.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
-            out_of_order_inserts: self.out_of_order.load(Ordering::Relaxed),
-            num_series,
+            num_series: self.num_series(),
             num_samples: self.num_samples(),
-            sealed_chunks,
-            sealed_bytes,
-            sealed_uncompressed_bytes,
             append_latency: self.append_latency.snapshot(),
-            instant_latency: self.instant_latency.snapshot(),
             range_latency: self.range_latency.snapshot(),
         }
     }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     fn env(id: &str) -> LabelSet {
         LabelSet::new().with("env", id)
+    }
+
+    fn s(timestamp: i64, value: f64) -> Sample {
+        Sample { timestamp, value }
+    }
+
+    /// Every sample of the one series of metric `m`, in stored order.
+    fn all_samples(db: &TimeSeriesDb) -> Vec<Sample> {
+        let mut series = db.query_range("m", &[], i64::MIN, i64::MAX);
+        assert_eq!(series.len(), 1);
+        series.remove(0).samples
     }
 
     fn filled_db() -> TimeSeriesDb {
@@ -363,16 +289,12 @@ pub(crate) mod tests {
     #[test]
     fn upsert_replaces_at_equal_timestamp_and_inserts_otherwise() {
         let db = TimeSeriesDb::new();
-        let s = |t: i64, v: f64| Sample {
-            timestamp: t,
-            value: v,
-        };
         db.upsert("cpu_usage", &env("EM_1"), s(5, 1.0));
         db.upsert("cpu_usage", &env("EM_1"), s(5, 2.0));
         assert_eq!(db.num_samples(), 1, "same timestamp must not duplicate");
         assert_eq!(
-            db.query_instant("cpu_usage", &[], 5)[0].1.value,
-            2.0,
+            db.query_range("cpu_usage", &[], 5, 5)[0].samples,
+            vec![s(5, 2.0)],
             "latest upsert wins"
         );
         // Different timestamps insert in sorted position.
@@ -392,28 +314,12 @@ pub(crate) mod tests {
         assert_eq!(s.queries, 0);
         assert_eq!(s.num_series, 3);
         assert_eq!(s.num_samples, 21);
-        assert_eq!(s.out_of_order_inserts, 0);
         assert_eq!(s.append_latency.count, 21, "every append is timed");
-        db.query_instant("cpu_usage", &[], 5);
+        db.query_range("cpu_usage", &[], 5, 5);
         db.query_range("cpu_usage", &[], 0, 9);
         let s = db.stats();
         assert_eq!(s.queries, 2);
-        assert_eq!(s.instant_latency.count, 1);
-        assert_eq!(s.range_latency.count, 1);
-    }
-
-    #[test]
-    fn instant_query_latest_at_or_before() {
-        let db = filled_db();
-        let res = db.query_instant("cpu_usage", &[LabelMatcher::eq("env", "EM_1")], 7);
-        assert_eq!(res.len(), 1);
-        assert_eq!(res[0].1.value, 70.0);
-        // Before the first sample: nothing.
-        let res = db.query_instant("cpu_usage", &[LabelMatcher::eq("env", "EM_1")], -1);
-        assert!(res.is_empty());
-        // Exactly at a timestamp is inclusive.
-        let res = db.query_instant("cpu_usage", &[LabelMatcher::eq("env", "EM_1")], 0);
-        assert_eq!(res[0].1.value, 0.0);
+        assert_eq!(s.range_latency.count, 2);
     }
 
     #[test]
@@ -426,6 +332,43 @@ pub(crate) mod tests {
         // Empty window yields no series rather than an empty series.
         let res = db.query_range("cpu_usage", &[LabelMatcher::eq("env", "EM_1")], 100, 200);
         assert!(res.is_empty());
+    }
+
+    #[test]
+    fn inverted_range_matches_nothing() {
+        let db = filled_db();
+        for (start, end) in [(6, 3), (9, 0), (i64::MAX, i64::MIN)] {
+            assert!(
+                db.query_range("cpu_usage", &[], start, end).is_empty(),
+                "[{start}, {end}]"
+            );
+        }
+    }
+
+    #[test]
+    fn upsert_replaces_the_first_of_appended_duplicates() {
+        let db = TimeSeriesDb::new();
+        for v in [1.0, 2.0, 3.0] {
+            db.append("m", &env("E"), s(10, v));
+        }
+        db.append("m", &env("E"), s(20, 4.0));
+        db.upsert("m", &env("E"), s(10, 9.0));
+        assert_eq!(
+            all_samples(&db),
+            vec![s(10, 9.0), s(10, 2.0), s(10, 3.0), s(20, 4.0)],
+            "duplicates keep arrival order and upsert rewrites only the first"
+        );
+    }
+
+    #[test]
+    fn append_older_than_every_sample_lands_first() {
+        let db = TimeSeriesDb::new();
+        for t in 0..8 {
+            db.append("m", &env("E"), s(t, t as f64));
+        }
+        db.append("m", &env("E"), s(-5, 7.0));
+        let ts: Vec<i64> = all_samples(&db).iter().map(|x| x.timestamp).collect();
+        assert_eq!(ts, vec![-5, 0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
@@ -453,7 +396,7 @@ pub(crate) mod tests {
             assert_eq!(got.len(), 1, "{metric}");
             assert_eq!(got[0].metric, metric);
             assert_eq!(got[0].labels.get("env"), Some(only));
-            assert_eq!(db.query_instant(metric, &[], 0).len(), 1, "{metric}");
+            assert_eq!(got[0].samples, vec![one], "{metric}");
         }
     }
 
@@ -514,51 +457,5 @@ pub(crate) mod tests {
         }
         assert_eq!(db.num_samples(), 1000);
         assert_eq!(db.num_series(), 4);
-    }
-
-    /// A deterministic mixed workload: 40 series of 600 quantized
-    /// samples each, written series by series, then one late write at
-    /// t=37 into each of the first ten. `write` receives the series
-    /// index with each sample.
-    pub(crate) fn mixed_workload(mut write: impl FnMut(usize, Sample)) {
-        for series in 0..40 {
-            for t in 0..600i64 {
-                write(
-                    series,
-                    Sample {
-                        timestamp: t * 15,
-                        value: ((series * 31 + t as usize * 7) % 100) as f64,
-                    },
-                );
-            }
-        }
-        // Late, misordered traffic into sealed territory.
-        for series in 0..10 {
-            write(
-                series,
-                Sample {
-                    timestamp: 37,
-                    value: 999.0,
-                },
-            );
-        }
-    }
-
-    #[test]
-    fn compression_accounting_and_out_of_order_counter() {
-        let db = TimeSeriesDb::new();
-        mixed_workload(|series, sample| {
-            let labels = LabelSet::new()
-                .with("env", format!("EM_{series}"))
-                .with("testbed", format!("Testbed_{}", series % 7));
-            db.append("cpu_usage", &labels, sample);
-        });
-        let stats = db.stats();
-        assert!(stats.sealed_chunks > 0, "600-sample series must seal");
-        assert_eq!(
-            stats.out_of_order_inserts, 10,
-            "late writes into sealed chunks are counted"
-        );
-        assert_eq!(stats.num_samples, 40 * 600 + 10);
     }
 }

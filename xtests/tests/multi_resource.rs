@@ -21,20 +21,16 @@ fn dataset() -> TelecomDataset {
 fn train_memory_model(dataset: &TelecomDataset) -> env2vec::Env2VecModel {
     let window = 2;
     let mut vocab = EmVocabulary::telecom();
-    let mut trains = Vec::new();
-    let mut vals = Vec::new();
+    let mut frames = Vec::new();
     for chain in &dataset.chains {
         for ex in chain.history() {
-            let df =
+            frames.push(
                 Dataframe::from_series(&ex.cf, &ex.mem, &ex.labels.values(), window, &mut vocab)
-                    .unwrap();
-            let (t, v) = df.split_validation(0.15).unwrap();
-            trains.push(t);
-            vals.push(v);
+                    .unwrap(),
+            );
         }
     }
-    let train = Dataframe::concat(&trains).unwrap();
-    let val = Dataframe::concat(&vals).unwrap();
+    let (train, val) = Dataframe::pooled_split(&frames, 0.15).unwrap();
     let mut cfg = Env2VecConfig::fast();
     cfg.max_epochs = 20;
     train_env2vec(cfg, vocab, &train, &val).unwrap().0
